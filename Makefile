@@ -1,7 +1,7 @@
 GO ?= go
 BIN ?= bin
 
-.PHONY: build test race vet lint stringscheck bench-smoke bench bench-json bench-sweep bench-mega bench-cluster cover fuzz-smoke
+.PHONY: build test race vet perfbench lint stringscheck bench-smoke bench bench-json bench-sweep bench-mega bench-cluster cover fuzz-smoke
 
 build:
 	$(GO) build ./...
@@ -29,6 +29,12 @@ race:
 
 vet:
 	$(GO) vet ./...
+
+# The benchmark module (perfbench/, its own go.mod with `replace repro =>
+# ../`) calls into this module's exported API but is invisible to the root
+# `go test ./...`; vet and test it on its own.
+perfbench:
+	cd perfbench && $(GO) vet ./... && $(GO) test .
 
 # stringscheck: the determinism/hot-path analyzer suite (DESIGN.md
 # "Determinism invariants" and "Dataflow analysis and the hot-path

@@ -65,6 +65,19 @@ func TestRunExperimentHappyPath(t *testing.T) {
 	}
 }
 
+// TestRunAblationsDefaultRequests runs the ablation set at the default
+// request count, where the pipelined CUDA cell needs memory admission.
+func TestRunAblationsDefaultRequests(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	args := []string{"-exp", "ablations", "-pairs", "1"}
+	if code := run(args, &stdout, &stderr); code != 0 {
+		t.Fatalf("run(%v) = %d, stderr:\n%s", args, code, stderr.String())
+	}
+	if !strings.Contains(stdout.String(), "application style") {
+		t.Errorf("stdout missing the application-style ablation:\n%s", stdout.String())
+	}
+}
+
 // TestRunClusterMergesBenchKeys runs a small -exp cluster macro-run into a
 // bench JSON that already holds foreign keys and checks the cluster_* keys
 // merge in without disturbing them — the same read-modify-write contract

@@ -13,16 +13,16 @@ func TestRawgo(t *testing.T) {
 	analysistest.Run(t, analysistest.TestData(), analysis.Rawgo, "rawgo")
 }
 
-// TestRawgoExemptsKernel: internal/sim itself implements the baton chain
-// and may spawn goroutines.
-func TestRawgoExemptsKernel(t *testing.T) {
+// TestRawgoFlagsKernel: internal/sim hands off through coroutines, so a
+// raw goroutine there is flagged like in any other sim-driven package.
+func TestRawgoFlagsKernel(t *testing.T) {
 	analysistest.Run(t, analysistest.TestData(), analysis.Rawgo, "repro/internal/sim")
 }
 
-// TestRawgoExemptsShardCoordinator: internal/sim/shard implements the
-// cross-kernel window-barrier handoff and holds the same goroutine right as
-// the kernel itself — its barrier workers need no //lint:allow.
-func TestRawgoExemptsShardCoordinator(t *testing.T) {
+// TestRawgoFlagsShardCoordinator: internal/sim/shard runs its barrier
+// workers on the parallel package's pool, so a raw goroutine there is
+// flagged too.
+func TestRawgoFlagsShardCoordinator(t *testing.T) {
 	analysistest.Run(t, analysistest.TestData(), analysis.Rawgo, "repro/internal/sim/shard")
 }
 

@@ -1,8 +1,7 @@
 // Package shard is a miniature stand-in for the real conservative window
-// coordinator, doubling as the rawgo kernel-layer fixture: the coordinator
-// implements the cross-kernel barrier handoff, so its raw goroutines are the
-// mechanism rawgo protects, not a bypass of it. No diagnostics are expected
-// anywhere in this package.
+// coordinator, doubling as a rawgo kernel-layer fixture: the kernel layer
+// has no goroutine exemption, so spawning barrier workers with a raw `go`
+// statement is flagged.
 package shard
 
 import "repro/internal/sim"
@@ -18,7 +17,7 @@ type Coordinator struct {
 func (c *Coordinator) Window(horizon sim.Time) {
 	done := make(chan struct{}, len(c.kernels))
 	for range c.kernels {
-		go func() { // the window-barrier handoff: exempt, like the kernel's baton chain
+		go func() { // want `raw goroutine in a sim-driven package`
 			done <- struct{}{}
 		}()
 	}

@@ -140,20 +140,12 @@ func (b *stringsBackend) serve(p *sim.Proc, ep rpcproto.Endpoint) {
 	}
 }
 
-// serveRainConn spawns a Rain (Design I) backend process for one
-// application: a private CUDA runtime — and therefore a private GPU context
-// — executing the application's calls verbatim: synchronous memcpys stay
-// synchronous, device synchronizes stay device-wide, everything runs on the
-// context's default stream. The per-device scheduler still gates
-// submission, which is how TFS-Rain and LAS-Rain are realized.
-func (c *Cluster) serveRainConn(gid int, conn *rpcproto.Conn) {
-	c.appSeq++
-	seq := c.appSeq
-	ep := conn.B()
-	c.K.GoNamed(func() string { return fmt.Sprintf("rain-%d-%d", gid, seq) },
-		func(p *sim.Proc) { c.rainServe(p, gid, ep) })
-}
-
+// rainServe is a Rain (Design I) backend process for one application: a
+// private CUDA runtime — and therefore a private GPU context — executing the
+// application's calls verbatim: synchronous memcpys stay synchronous, device
+// synchronizes stay device-wide, everything runs on the context's default
+// stream. The per-device scheduler still gates submission, which is how
+// TFS-Rain and LAS-Rain are realized.
 func (c *Cluster) rainServe(p *sim.Proc, gid int, ep rpcproto.Endpoint) {
 	first, ok := ep.Recv(p).(*rpcproto.Call)
 	if !ok || first.ID != cuda.CallSetDevice {
@@ -172,8 +164,8 @@ func (c *Cluster) rainServe(p *sim.Proc, gid int, ep rpcproto.Endpoint) {
 	entry := sched.Register(appID, first.TenantID, int(first.Weight),
 		first.KernelName, func() int { return held + ep.InboxLen() })
 
-	// A fresh runtime per application: Rain's per-app backend process (on
-	// whichever shard kernel this backend proc runs on).
+	// A fresh runtime per application: Rain's per-app backend process, on
+	// the device's environment kernel.
 	rt := cuda.NewRuntime(p.Kernel(), []*gpu.Device{c.devices[gid]}, c.cfg.CUDA)
 	rt.SetOwner(appID)
 	t := rt.NewThread(p, appID)

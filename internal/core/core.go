@@ -125,20 +125,22 @@ type Config struct {
 	// the inline path (workload.StreamSeed).
 	Traces *workload.TraceBook
 
-	// Shards >= 1 partitions the cluster into one shard kernel per node,
-	// composed under a conservative-lookahead coordinator
-	// (internal/sim/shard) with Shards barrier workers; cross-node traffic
-	// crosses shard mailboxes with the RemoteLink latency as the lookahead.
-	// Results are bit-identical for every Shards >= 1 (the partition is
-	// always per-node; Shards only sets the worker count), but the sharded
-	// composition is a deliberately distinct model from the default
-	// single-kernel path (Shards == 0): control messages that the single
-	// kernel delivers instantly (feedback, failure reports) pay the physical
-	// control-plane latency when they cross shards. Topologies the per-node
-	// partition cannot express — a single node, partitionable (MIG) fleets
-	// whose slices are carved across nodes, or fault plans that mutate
-	// cross-shard state — collapse to the single-kernel path; Sharded()
-	// reports the outcome.
+	// Shards sets how the cluster's nodes map onto environments, the kernel
+	// domains it is composed of (see shardenv.go). Shards == 0 puts every
+	// node in one environment on one kernel. Shards >= 1 gives each node its
+	// own environment and kernel, composed under a conservative-lookahead
+	// coordinator (internal/sim/shard) with Shards barrier workers; results
+	// are bit-identical for every Shards >= 1, since the partition is always
+	// per-node and Shards only sets the worker count. Calls within an
+	// environment take the direct same-kernel path, where feedback and
+	// failure reports reach the mapper instantly; calls across environments
+	// cross mailboxes and pay the RemoteLink latency, which is the
+	// lookahead. So the two layouts are distinct models of the same fleet.
+	// Topologies the per-node partition cannot express — a single node,
+	// partitionable (MIG) fleets whose slices are carved across nodes, or
+	// fault plans that mutate cross-node state — collapse to one
+	// environment; Sharded() reports the outcome. Negative values are
+	// rejected.
 	Shards int
 }
 
@@ -156,17 +158,14 @@ type Cluster struct {
 	scheds  []*devsched.Scheduler
 	backs   []*stringsBackend
 
-	appSeq    int
-	appTenant map[int]int64 // app id → tenant, for horizon-based accounting
-	results   *RunResult
+	results *RunResult // environment 0's sink; the others merge into it
 
-	// Shard composition (see shardenv.go). In the single-kernel path envs
-	// holds one legacy environment aliasing the fields above and coord is
-	// nil; in the sharded path there is one environment per node and coord
-	// drives their kernels.
-	envs     []*shardEnv
-	coord    *shard.Coordinator
-	envOfGID []int // GID → owning environment index
+	// Environments (see shardenv.go): one holding every node, or one per
+	// node with coord driving their kernels (nil with one environment).
+	envs      []*shardEnv
+	coord     *shard.Coordinator
+	envOfNode []*shardEnv
+	envOfGID  []*shardEnv
 
 	// Injected fault state, indexed by GID and written only by the fault
 	// injector (all zero in fault-free runs).
@@ -185,11 +184,14 @@ type selectResult struct {
 	gid balancer.GID
 }
 
-// mapperMsg is a message to the affinity-mapper service process: either a
-// selection request (out/done set) or a feedback/release relay.
+// mapperMsg is a message to the affinity-mapper service process: a
+// selection request (out set), a failure report (hOut set), or a
+// feedback/release or recovery relay. Requests that expect a verdict name
+// the requester's environment and the event to fire there.
 type mapperMsg struct {
 	req  balancer.Request
 	out  *selectResult
+	from *shardEnv
 	done *sim.Event
 
 	fb      *rpcproto.Feedback
@@ -202,12 +204,6 @@ type mapperMsg struct {
 	recovered bool
 	hGID      balancer.GID
 	hOut      *healthResult
-
-	// Cross-shard reply routing: when the requester lives on another shard
-	// kernel, done stays nil and the verdict is fired through the shard
-	// mailbox back to xsrc, paying the control-plane latency on the way.
-	xsrc  int
-	xdone *sim.Event
 }
 
 // healthResult carries a failure report's verdict back to the caller.
@@ -220,6 +216,9 @@ type healthResult struct {
 func New(cfg Config) (*Cluster, error) {
 	if len(cfg.Nodes) == 0 {
 		return nil, fmt.Errorf("core: no nodes configured")
+	}
+	if cfg.Shards < 0 {
+		return nil, fmt.Errorf("core: negative Shards %d", cfg.Shards)
 	}
 	if cfg.Balance == "" {
 		cfg.Balance = "GRR"
@@ -239,47 +238,19 @@ func New(cfg Config) (*Cluster, error) {
 	} else {
 		k = sim.NewKernel(cfg.Seed)
 	}
-	c := &Cluster{
-		K: k, cfg: cfg,
-		appTenant: make(map[int]int64), results: newRunResult(),
-	}
+	c := &Cluster{K: k, cfg: cfg}
 	c.buildEnvs()
 
 	// Physical devices and the gPool. Each device lives on its node's
-	// environment kernel (the one kernel in the single-kernel path).
+	// environment kernel.
 	var infos []remoting.NodeInfo
-	gid := 0
 	for n, node := range cfg.Nodes {
 		if len(node.Devices) == 0 {
 			return nil, fmt.Errorf("core: node %d has no devices", n)
 		}
-		e := c.envForNode(n)
 		var devs []*gpu.Device
 		for _, spec := range node.Devices {
-			d := gpu.NewDevice(e.k, spec, gid)
-			if cfg.Trace {
-				tr := &gpu.UtilTrace{}
-				d.SetTracer(tr)
-				c.traces = append(c.traces, tr)
-			} else {
-				c.traces = append(c.traces, nil)
-			}
-			if e.rec.Enabled() {
-				// GPU-op spans: the completion callback sees the op's full
-				// timing, so each op records as an already-finished span.
-				g, rec := gid, e.rec
-				d.SetOnComplete(func(op *gpu.Op) {
-					if op.Kind == gpu.OpMarker {
-						return
-					}
-					rec.Complete(trace.KOp, op.Kind.String(),
-						op.AppID, g, op.Bytes, op.Started, op.Finished)
-				})
-			}
-			c.devices = append(c.devices, d)
-			c.envOfGID = append(c.envOfGID, e.idx)
-			devs = append(devs, d)
-			gid++
+			devs = append(devs, c.addDevice(c.envOfNode[n], spec))
 		}
 		c.nodeDev = append(c.nodeDev, devs)
 		infos = append(infos, remoting.NodeInfo{
@@ -287,9 +258,6 @@ func New(cfg Config) (*Cluster, error) {
 		})
 	}
 	c.gmap = remoting.BuildGMap(infos)
-	c.gpuDown = make([]bool, gid)
-	c.stallUntil = make([]sim.Time, gid)
-	c.degrade = make([]float64, gid)
 	c.initSlices()
 
 	if cfg.Mode == ModeCUDA {
@@ -314,7 +282,7 @@ func New(cfg Config) (*Cluster, error) {
 		if err != nil {
 			return nil, err
 		}
-		e := c.envs[c.envOfGID[g]]
+		e := c.envOfGID[g]
 		c.scheds = append(c.scheds, c.newSched(e, d, g, dp))
 		if cfg.Mode == ModeStrings {
 			c.backs = append(c.backs, newStringsBackend(c, e, g))
@@ -322,6 +290,36 @@ func New(cfg Config) (*Cluster, error) {
 	}
 	faults.Start(c.K, cfg.Faults, c)
 	return c, nil
+}
+
+// addDevice creates the next GID's device on environment e, with its
+// utilization tracer and op spans when enabled, and zero fault state.
+func (c *Cluster) addDevice(e *shardEnv, spec gpu.Spec) *gpu.Device {
+	gid := len(c.devices)
+	d := gpu.NewDevice(e.k, spec, gid)
+	var tr *gpu.UtilTrace
+	if c.cfg.Trace {
+		tr = &gpu.UtilTrace{}
+		d.SetTracer(tr)
+	}
+	if rec := e.rec; rec.Enabled() {
+		// GPU-op spans: the completion callback sees the op's full timing,
+		// so each op records as an already-finished span.
+		d.SetOnComplete(func(op *gpu.Op) {
+			if op.Kind == gpu.OpMarker {
+				return
+			}
+			rec.Complete(trace.KOp, op.Kind.String(),
+				op.AppID, gid, op.Bytes, op.Started, op.Finished)
+		})
+	}
+	c.devices = append(c.devices, d)
+	c.traces = append(c.traces, tr)
+	c.envOfGID = append(c.envOfGID, e)
+	c.gpuDown = append(c.gpuDown, false)
+	c.stallUntil = append(c.stallUntil, 0)
+	c.degrade = append(c.degrade, 0)
+	return d
 }
 
 // newSched builds one device scheduler with the cluster's config (Rain's
@@ -399,7 +397,7 @@ func (c *Cluster) mapperLoop(p *sim.Proc) {
 			c.fireReply(m)
 		case m.recovered:
 			c.mapper.ReportRecovered(m.hGID)
-		case m.done != nil || m.xdone != nil:
+		case m.done != nil:
 			if m.req.WantsSlice() {
 				c.handleSliceSelect(p, m)
 				continue
@@ -424,58 +422,3 @@ func (c *Cluster) controlLatency(node int) sim.Time {
 	}
 	return c.cfg.RemoteLink.Latency
 }
-
-// SelectGPU implements interpose.Fabric. Requests from tenants with a
-// slice profile are enriched with the profile's demand here, so the
-// interposer stays slice-agnostic.
-func (c *Cluster) SelectGPU(p *sim.Proc, req balancer.Request) balancer.GID {
-	req = c.sliceDemand(req)
-	lat := c.controlLatency(req.Node)
-	p.Sleep(lat)
-	out := &selectResult{}
-	done := c.K.NewEvent()
-	c.mapQ.Put(mapperMsg{req: req, out: out, done: done})
-	p.Wait(done)
-	p.Sleep(lat)
-	return out.gid
-}
-
-// ConnectBackend implements interpose.Fabric.
-func (c *Cluster) ConnectBackend(p *sim.Proc, gid balancer.GID, fromNode int) rpcproto.Endpoint {
-	entry, ok := c.gmap.Lookup(gid)
-	link := c.cfg.LocalLink
-	if ok && entry.Node != fromNode {
-		link = c.cfg.RemoteLink
-	}
-	conn := rpcproto.NewConn(c.K, link)
-	switch c.cfg.Mode {
-	case ModeStrings:
-		c.backs[gid].accept(conn)
-	case ModeRain:
-		c.serveRainConn(int(gid), conn)
-	}
-	return conn.A()
-}
-
-// ReportFeedback implements interpose.Fabric.
-func (c *Cluster) ReportFeedback(gid balancer.GID, kind string, fb *rpcproto.Feedback) {
-	c.mapQ.Put(mapperMsg{fb: fb, release: true, relGID: gid, relKind: kind})
-}
-
-// ReportFailure implements interpose.Fabric: it relays one failed call to
-// the affinity mapper's failure detector and blocks for the verdict.
-func (c *Cluster) ReportFailure(p *sim.Proc, gid balancer.GID) balancer.Health {
-	out := &healthResult{}
-	done := c.K.NewEvent()
-	c.mapQ.Put(mapperMsg{fail: true, hGID: gid, hOut: out, done: done})
-	p.Wait(done)
-	return out.h
-}
-
-// ReportRecovered implements interpose.Fabric (fire and forget).
-func (c *Cluster) ReportRecovered(gid balancer.GID) {
-	c.mapQ.Put(mapperMsg{recovered: true, hGID: gid})
-}
-
-// PoolSize implements interpose.Fabric.
-func (c *Cluster) PoolSize() int { return c.gmap.Len() }

@@ -307,6 +307,11 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := New(Config{Nodes: twoGPUNode(), Mode: ModeRain, DevPolicy: "PS"}); err == nil {
 		t.Fatal("PS under Rain accepted")
 	}
+	for _, nodes := range [][]NodeConfig{twoGPUNode(), supernode()} {
+		if _, err := New(Config{Nodes: nodes, Mode: ModeStrings, Shards: -1}); err == nil {
+			t.Fatalf("%d nodes: negative Shards accepted", len(nodes))
+		}
+	}
 	c, err := New(Config{Nodes: twoGPUNode(), Mode: ModeStrings})
 	if err != nil {
 		t.Fatal(err)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/balancer"
+	"repro/internal/interpose"
 	"repro/internal/rpcproto"
 	"repro/internal/sim"
 	"repro/internal/sim/shard"
@@ -11,28 +12,31 @@ import (
 )
 
 // appIDStride spaces the per-environment application-ID ranges so IDs stay
-// globally unique without cross-shard coordination: environment i hands out
-// i*appIDStride+1, i*appIDStride+2, ... (the single-kernel path is the
-// i == 0 range, so its IDs are unchanged).
+// globally unique without cross-environment coordination: environment i
+// hands out i*appIDStride+1, i*appIDStride+2, ...
 const appIDStride = 1 << 32
 
-// shardEnv is one shard's slice of the cluster: a kernel, the recorder and
-// result sink local to it, and the app-ID/tenant bookkeeping its streams
-// own. The single-kernel path uses exactly one environment whose fields
-// alias the Cluster's own (sh == nil), so legacy behaviour is untouched; the
-// sharded path has one environment per node and merges results after the
-// run.
+// shardEnv is one environment: the composition unit of a cluster. An
+// environment is a kernel domain. It owns its kernel, the recorder and
+// result sink local to it, an app-ID counter, and the app→tenant map of the
+// streams it runs. Every node belongs to exactly one environment. With
+// Shards == 0, or a topology the per-node partition cannot express, all
+// nodes share one environment on Cluster.K; per-node sharding gives each
+// node its own environment under the coordinator. Environment 0 holds
+// node 0 and the affinity mapper.
 //
-// shardEnv implements interpose.Fabric for the sharded path: control-plane
-// calls that stay on the mapper's shard take the Cluster's legacy code
-// paths verbatim, and calls that cross shards ride the coordinator's
-// mailboxes with the control-plane latency as the (lookahead-respecting)
-// delivery delay.
+// shardEnv implements interpose.Fabric. Each call compares the destination
+// environment (the mapper's, or the owner of the target GID) with its own.
+// In the same environment it runs the direct same-kernel sequence: a select
+// pays the control-plane latency each way, feedback and failure reports
+// reach the mapper instantly, and conns are local. Across environments the
+// call rides the coordinator's mailboxes, paying the remote-link latency
+// (the lookahead) on every crossing.
 type shardEnv struct {
 	c   *Cluster
 	idx int
 	k   *sim.Kernel
-	sh  *shard.Shard // nil in the single-kernel path
+	sh  *shard.Shard // mailbox endpoint; nil when the cluster has one environment
 	rec *trace.Recorder
 
 	results   *RunResult
@@ -40,12 +44,14 @@ type shardEnv struct {
 	appTenant map[int]int64
 }
 
+var _ interpose.Fabric = (*shardEnv)(nil)
+
 // shardEligible reports whether the per-node shard partition can express
 // cfg's topology. A single node has nothing to partition; a zero remote
 // latency admits no conservative lookahead; fault plans and partitionable
 // (MIG) fleets mutate cross-node structure — dead devices leave the shared
 // gPool, slices are carved on whatever node has room — from the mapper's
-// shard, which the per-node ownership model cannot represent.
+// environment, which the per-node ownership model cannot represent.
 func shardEligible(cfg Config) bool {
 	if len(cfg.Nodes) < 2 {
 		return false
@@ -66,55 +72,47 @@ func shardEligible(cfg Config) bool {
 	return true
 }
 
-// buildEnvs constructs the environment set: one legacy environment aliasing
-// the Cluster's fields, or — when sharding is requested and the topology
-// allows it — one environment per node under a conservative coordinator
-// whose lookahead is the remote-link latency.
+// buildEnvs constructs the environment set and maps nodes onto it: one
+// environment on c.K holding every node, or — when sharding is requested
+// and the topology allows it — one environment per node under a
+// conservative coordinator whose lookahead is the remote-link latency.
 func (c *Cluster) buildEnvs() {
 	cfg := c.cfg
+	nEnv := 1
 	if cfg.Shards >= 1 && shardEligible(cfg) {
-		kernels := make([]*sim.Kernel, len(cfg.Nodes))
-		for n := range cfg.Nodes {
-			if n == 0 {
-				kernels[n] = c.K
-			} else {
-				// The kernel RNG is unused by the model (streams carry their
-				// own seeded sources), so all shards may share the seed.
-				kernels[n] = sim.NewKernel(cfg.Seed)
-			}
+		nEnv = len(cfg.Nodes)
+	}
+	kernels := []*sim.Kernel{c.K}
+	for len(kernels) < nEnv {
+		// The kernel RNG is unused by the model (streams carry their own
+		// seeded sources), so every environment may share the seed.
+		kernels = append(kernels, sim.NewKernel(cfg.Seed))
+	}
+	for i, k := range kernels {
+		rec := cfg.Recorder
+		if i > 0 && rec.Enabled() {
+			rec = trace.New()
 		}
+		c.envs = append(c.envs, &shardEnv{
+			c: c, idx: i, k: k, rec: rec,
+			results: newRunResult(), appTenant: make(map[int]int64),
+		})
+	}
+	if nEnv > 1 {
 		c.coord = shard.NewCoordinator(kernels, cfg.RemoteLink.Latency, cfg.Shards)
-		for n := range cfg.Nodes {
-			var rec *trace.Recorder
-			if n == 0 {
-				rec = cfg.Recorder
-			} else if cfg.Recorder.Enabled() {
-				rec = trace.New()
-			}
-			c.envs = append(c.envs, &shardEnv{
-				c: c, idx: n, k: kernels[n], sh: c.coord.Shard(n), rec: rec,
-				results: newRunResult(), appTenant: make(map[int]int64),
-			})
+		for i, e := range c.envs {
+			e.sh = c.coord.Shard(i)
 		}
-		return
 	}
-	c.envs = []*shardEnv{{
-		c: c, idx: 0, k: c.K, rec: cfg.Recorder,
-		results: c.results, appTenant: c.appTenant,
-	}}
+	// Node i belongs to environment i mod nEnv: all in one, or one each.
+	for i := range cfg.Nodes {
+		c.envOfNode = append(c.envOfNode, c.envs[i%nEnv])
+	}
+	c.results = c.envs[0].results
 }
 
-// envForNode returns the environment owning a node's devices and streams.
-func (c *Cluster) envForNode(node int) *shardEnv {
-	if c.coord == nil {
-		return c.envs[0]
-	}
-	return c.envs[node]
-}
-
-// Sharded reports whether the cluster runs the sharded composition (a
-// Shards >= 1 request may still collapse to the single kernel; see
-// Config.Shards).
+// Sharded reports whether the cluster runs one environment per node (a
+// Shards >= 1 request may still collapse to one; see Config.Shards).
 func (c *Cluster) Sharded() bool { return c.coord != nil }
 
 // ShardStats returns the coordinator's window-protocol counters (zero when
@@ -126,8 +124,8 @@ func (c *Cluster) ShardStats() shard.Stats {
 	return c.coord.Stats()
 }
 
-// Dispatched returns the total activations dispatched across every shard
-// kernel (the single kernel's count when not sharded).
+// Dispatched returns the total activations dispatched across every
+// environment's kernel.
 func (c *Cluster) Dispatched() uint64 {
 	var n uint64
 	for _, e := range c.envs {
@@ -136,7 +134,8 @@ func (c *Cluster) Dispatched() uint64 {
 	return n
 }
 
-// FastForwards sums the fast-forward counters across every shard kernel.
+// FastForwards sums the fast-forward counters across every environment's
+// kernel.
 func (c *Cluster) FastForwards() (jumps uint64, skipped sim.Time) {
 	for _, e := range c.envs {
 		j, s := e.k.FastForwards()
@@ -146,9 +145,9 @@ func (c *Cluster) FastForwards() (jumps uint64, skipped sim.Time) {
 	return jumps, skipped
 }
 
-// Recorders returns every environment's recorder in shard order (a single
-// element when not sharded; empty when tracing is disabled). Concatenating
-// their JSONL output in this order is the sharded run's canonical trace.
+// Recorders returns every environment's recorder in environment order
+// (empty when tracing is disabled). Concatenating their JSONL output in
+// this order is the run's canonical trace.
 func (c *Cluster) Recorders() []*trace.Recorder {
 	var recs []*trace.Recorder
 	for _, e := range c.envs {
@@ -160,215 +159,144 @@ func (c *Cluster) Recorders() []*trace.Recorder {
 }
 
 // Close releases the shard coordinator's barrier workers. A no-op for
-// single-kernel clusters; safe to call more than once.
+// single-environment clusters; safe to call more than once.
 func (c *Cluster) Close() {
 	if c.coord != nil {
 		c.coord.Close()
 	}
 }
 
-// fireReply delivers a mapper verdict to its requester: locally for
-// same-kernel requests, through the shard mailbox (paying the control-plane
-// latency) for cross-shard ones.
-func (c *Cluster) fireReply(m mapperMsg) {
-	if m.xdone != nil {
-		done := m.xdone
-		c.envs[0].sh.Send(m.xsrc, c.cfg.RemoteLink.Latency, func() { done.Fire() })
-		return
-	}
-	m.done.Fire()
-}
-
-// nextAppID allocates the next application ID from the environment's range.
-func (e *shardEnv) nextAppID() int {
-	if e.sh == nil {
-		e.c.appSeq++
-		return e.c.appSeq
-	}
-	e.appSeq++
-	return e.idx*appIDStride + e.appSeq
-}
-
-// fabric returns the interpose.Fabric the environment's frontends talk to:
-// the Cluster itself on the single-kernel path, the environment on the
-// sharded one.
-func (e *shardEnv) fabric() interposeFabric {
-	if e.sh == nil {
-		return e.c
-	}
-	return e
-}
-
-// interposeFabric mirrors interpose.Fabric without the import (interpose
-// already imports nothing from core; the compiler checks conformance at the
-// interpose.New call site).
-type interposeFabric interface {
-	SelectGPU(p *sim.Proc, req balancer.Request) balancer.GID
-	ConnectBackend(p *sim.Proc, gid balancer.GID, fromNode int) rpcproto.Endpoint
-	ReportFeedback(gid balancer.GID, kind string, fb *rpcproto.Feedback)
-	ReportFailure(p *sim.Proc, gid balancer.GID) balancer.Health
-	ReportRecovered(gid balancer.GID)
-	PoolSize() int
-}
-
-// SelectGPU implements interpose.Fabric for the sharded path. Requests from
-// the mapper's own shard take the legacy path; remote ones ride the mailbox
-// there and back, reproducing the legacy remote timing (latency out,
-// service, latency back).
-func (e *shardEnv) SelectGPU(p *sim.Proc, req balancer.Request) balancer.GID {
-	c := e.c
-	if e.idx == 0 {
-		return c.SelectGPU(p, req)
-	}
-	req = c.sliceDemand(req)
-	lat := c.cfg.RemoteLink.Latency
-	out := &selectResult{}
-	done := e.k.NewEvent()
-	src := e.idx
-	e.sh.Send(0, lat, func() {
-		c.mapQ.Put(mapperMsg{req: req, out: out, xsrc: src, xdone: done})
-	})
-	p.Wait(done)
-	return out.gid
-}
-
-// ConnectBackend implements interpose.Fabric for the sharded path. A
-// same-shard connection is the legacy local conn on this environment's
-// kernel. A cross-shard one is a cross-kernel conn whose two inbox queues
-// live on their readers' kernels and whose deliveries ride the mailboxes;
-// the accept is sent ahead on the same mailbox, so it is injected before
-// (or at the same instant as, but ordered before) the handshake call.
-func (e *shardEnv) ConnectBackend(p *sim.Proc, gid balancer.GID, fromNode int) rpcproto.Endpoint {
-	c := e.c
-	owner := c.envOfGID[gid]
-	if owner == e.idx {
-		entry, ok := c.gmap.Lookup(gid)
-		link := c.cfg.LocalLink
-		if ok && entry.Node != fromNode {
-			link = c.cfg.RemoteLink
-		}
-		conn := rpcproto.NewConn(e.k, link)
-		switch c.cfg.Mode {
-		case ModeStrings:
-			c.backs[gid].accept(conn)
-		case ModeRain:
-			e.serveRainConn(int(gid), conn)
-		}
-		return conn.A()
-	}
-	oe := c.envs[owner]
-	link := c.cfg.RemoteLink
-	src, dst := e.idx, owner
-	conn := rpcproto.NewCrossConn(e.k, oe.k, link,
-		func(lat sim.Time, fn func()) { e.sh.Send(dst, lat, fn) },
-		func(lat sim.Time, fn func()) { oe.sh.Send(src, lat, fn) })
-	g := gid
-	e.sh.Send(dst, link.Latency, func() {
-		switch c.cfg.Mode {
-		case ModeStrings:
-			c.backs[g].accept(conn)
-		case ModeRain:
-			oe.serveRainConn(int(g), conn)
-		}
-	})
-	return conn.A()
-}
-
-// ReportFeedback implements interpose.Fabric for the sharded path. The
-// single kernel delivers feedback to the mapper instantly; a cross-shard
-// report pays the control-plane latency (the more physical model — this is
-// one of the sharded composition's documented divergences).
-func (e *shardEnv) ReportFeedback(gid balancer.GID, kind string, fb *rpcproto.Feedback) {
-	c := e.c
-	if e.idx == 0 {
-		c.ReportFeedback(gid, kind, fb)
-		return
-	}
-	m := mapperMsg{fb: fb, release: true, relGID: gid, relKind: kind}
-	e.sh.Send(0, c.cfg.RemoteLink.Latency, func() { c.mapQ.Put(m) })
-}
-
-// ReportFailure implements interpose.Fabric for the sharded path (reachable
-// only with recovery armed; fault plans collapse sharding, so in practice
-// this handles spurious timeouts, not injected faults).
-func (e *shardEnv) ReportFailure(p *sim.Proc, gid balancer.GID) balancer.Health {
-	c := e.c
-	if e.idx == 0 {
-		return c.ReportFailure(p, gid)
-	}
-	out := &healthResult{}
-	done := e.k.NewEvent()
-	src := e.idx
-	e.sh.Send(0, c.cfg.RemoteLink.Latency, func() {
-		c.mapQ.Put(mapperMsg{fail: true, hGID: gid, hOut: out, xsrc: src, xdone: done})
-	})
-	p.Wait(done)
-	return out.h
-}
-
-// ReportRecovered implements interpose.Fabric for the sharded path.
-func (e *shardEnv) ReportRecovered(gid balancer.GID) {
-	c := e.c
-	if e.idx == 0 {
-		c.ReportRecovered(gid)
-		return
-	}
-	e.sh.Send(0, c.cfg.RemoteLink.Latency, func() {
-		c.mapQ.Put(mapperMsg{recovered: true, hGID: gid})
-	})
-}
-
-// PoolSize implements interpose.Fabric (the gPool map is immutable during
-// fault-free runs, which is the only kind the sharded path admits).
-func (e *shardEnv) PoolSize() int { return e.c.gmap.Len() }
-
-// serveRainConn spawns the per-application Rain backend on this
-// environment's kernel (the legacy path when not sharded — the shared
-// Cluster counter keeps the legacy app-ID sequence byte-identical).
-func (e *shardEnv) serveRainConn(gid int, conn *rpcproto.Conn) {
-	if e.sh == nil {
-		e.c.serveRainConn(gid, conn)
-		return
-	}
-	e.appSeq++
-	seq := e.appSeq
-	ep := conn.B()
-	e.k.GoNamed(func() string { return fmt.Sprintf("rain-%d-%d", gid, seq) },
-		func(p *sim.Proc) { e.c.rainServe(p, gid, ep) })
-}
-
-// collectSharded merges the per-environment results into the cluster result
-// in shard order and stamps the global end time (the latest shard clock).
-func (c *Cluster) collectSharded() {
+// collect merges every environment's results into the cluster result
+// (environment 0's sink) in environment order, stamps the global end time
+// (the latest environment clock) and closes the stranded-capacity integral.
+func (c *Cluster) collect() {
 	var end sim.Time
 	for _, e := range c.envs {
 		if t := e.k.Now(); t > end {
 			end = t
 		}
 	}
-	for _, e := range c.envs {
+	for _, e := range c.envs[1:] {
 		c.results.Merge(e.results)
 	}
 	c.results.EndTime = end
+	c.closeStranded(end)
 }
 
-// tenantsByApp returns the app → tenant map covering every environment.
-func (c *Cluster) tenantsByApp() map[int]int64 {
-	if c.coord == nil {
-		return c.appTenant
+// nextAppID allocates the next application ID from the environment's range.
+func (e *shardEnv) nextAppID() int {
+	e.appSeq++
+	return e.idx*appIDStride + e.appSeq
+}
+
+// post delivers a message to the mapper service: directly on the mapper's
+// environment, through the mailbox (paying the remote-link latency) from
+// any other.
+func (e *shardEnv) post(m mapperMsg) {
+	c := e.c
+	if e == c.envs[0] {
+		c.mapQ.Put(m)
+		return
 	}
-	all := make(map[int]int64)
-	for _, e := range c.envs {
-		for id, t := range e.appTenant {
-			all[id] = t
+	e.sh.Send(0, c.cfg.RemoteLink.Latency, func() { c.mapQ.Put(m) })
+}
+
+// fireReply delivers a mapper verdict to its requester's event: directly on
+// the mapper's environment, through the mailbox (paying the remote-link
+// latency) to any other.
+func (c *Cluster) fireReply(m mapperMsg) {
+	me := c.envs[0]
+	if m.from == me {
+		m.done.Fire()
+		return
+	}
+	done := m.done
+	me.sh.Send(m.from.idx, c.cfg.RemoteLink.Latency, func() { done.Fire() })
+}
+
+// SelectGPU implements interpose.Fabric. Requests from tenants with a slice
+// profile are enriched with the profile's demand here, so the interposer
+// stays slice-agnostic. On the mapper's environment the request sleeps the
+// control-plane latency to its node on the way out and back; from another
+// environment the mailbox charges the same crossing both ways.
+func (e *shardEnv) SelectGPU(p *sim.Proc, req balancer.Request) balancer.GID {
+	c := e.c
+	req = c.sliceDemand(req)
+	local := e == c.envs[0]
+	lat := c.controlLatency(req.Node)
+	if local {
+		p.Sleep(lat)
+	}
+	m := mapperMsg{req: req, out: &selectResult{}, from: e, done: e.k.NewEvent()}
+	e.post(m)
+	p.Wait(m.done)
+	if local {
+		p.Sleep(lat)
+	}
+	return m.out.gid
+}
+
+// ConnectBackend implements interpose.Fabric. A connection to a backend in
+// this environment is a local conn on its kernel. One to another
+// environment is a cross-kernel conn whose two inbox queues live on their
+// readers' kernels and whose deliveries ride the mailboxes; the accept is
+// sent ahead on the same mailbox, so it is injected before (or at the same
+// instant as, but ordered before) the handshake call.
+func (e *shardEnv) ConnectBackend(p *sim.Proc, gid balancer.GID, fromNode int) rpcproto.Endpoint {
+	c := e.c
+	owner := c.envOfGID[gid]
+	if owner == e {
+		entry, ok := c.gmap.Lookup(gid)
+		link := c.cfg.LocalLink
+		if ok && entry.Node != fromNode {
+			link = c.cfg.RemoteLink
 		}
+		conn := rpcproto.NewConn(e.k, link)
+		e.accept(gid, conn)
+		return conn.A()
 	}
-	return all
+	link := c.cfg.RemoteLink
+	conn := rpcproto.NewCrossConn(e.k, owner.k, link,
+		func(lat sim.Time, fn func()) { e.sh.Send(owner.idx, lat, fn) },
+		func(lat sim.Time, fn func()) { owner.sh.Send(e.idx, lat, fn) })
+	e.sh.Send(owner.idx, link.Latency, func() { owner.accept(gid, conn) })
+	return conn.A()
 }
 
-// Interface conformance is otherwise only checked at interpose.New call
-// sites that pass a *shardEnv.
-var (
-	_ interposeFabric = (*shardEnv)(nil)
-	_ interposeFabric = (*Cluster)(nil)
-)
+// accept hands a new frontend connection to gid's backend in this
+// environment: the GPU's Strings daemon, or a fresh per-application Rain
+// backend process (whose sequence number shares the app-ID counter).
+func (e *shardEnv) accept(gid balancer.GID, conn *rpcproto.Conn) {
+	c := e.c
+	switch c.cfg.Mode {
+	case ModeStrings:
+		c.backs[gid].accept(conn)
+	case ModeRain:
+		e.appSeq++
+		g, seq, ep := int(gid), e.appSeq, conn.B()
+		e.k.GoNamed(func() string { return fmt.Sprintf("rain-%d-%d", g, seq) },
+			func(p *sim.Proc) { c.rainServe(p, g, ep) })
+	}
+}
+
+// ReportFeedback implements interpose.Fabric (fire and forget).
+func (e *shardEnv) ReportFeedback(gid balancer.GID, kind string, fb *rpcproto.Feedback) {
+	e.post(mapperMsg{fb: fb, release: true, relGID: gid, relKind: kind})
+}
+
+// ReportFailure implements interpose.Fabric: it relays one failed call to
+// the affinity mapper's failure detector and blocks for the verdict.
+func (e *shardEnv) ReportFailure(p *sim.Proc, gid balancer.GID) balancer.Health {
+	m := mapperMsg{fail: true, hGID: gid, hOut: &healthResult{}, from: e, done: e.k.NewEvent()}
+	e.post(m)
+	p.Wait(m.done)
+	return m.hOut.h
+}
+
+// ReportRecovered implements interpose.Fabric (fire and forget).
+func (e *shardEnv) ReportRecovered(gid balancer.GID) {
+	e.post(mapperMsg{recovered: true, hGID: gid})
+}
+
+// PoolSize implements interpose.Fabric.
+func (e *shardEnv) PoolSize() int { return e.c.gmap.Len() }

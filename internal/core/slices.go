@@ -6,7 +6,6 @@ import (
 	"repro/internal/balancer"
 	"repro/internal/gpu"
 	"repro/internal/sim"
-	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -21,8 +20,8 @@ import (
 // packing quality surfaces as an SLO.
 //
 // Every mutation of the placement state happens inside the mapperLoop
-// service process, so slice runs are exactly as deterministic as the
-// legacy path. Fleets without slice streams never touch any of this.
+// service process, so slice runs are exactly as deterministic as any other.
+// Fleets without slice streams never touch any of this.
 
 // sliceState is the placement ledger the mapper service owns. Nil until a
 // run declares slice streams.
@@ -114,7 +113,7 @@ func (c *Cluster) findProfile(name string) (gpu.SliceProfile, bool) {
 }
 
 // sliceDemand enriches a selection request with the tenant's slice demand.
-// Identity for tenants without a profile — the legacy path is untouched.
+// Identity for tenants without a profile.
 func (c *Cluster) sliceDemand(req balancer.Request) balancer.Request {
 	if prof, ok := c.sl.tenantProfile[req.Tenant]; ok {
 		req.SliceProfile = prof.Name
@@ -131,7 +130,7 @@ func (c *Cluster) handleSliceSelect(p *sim.Proc, m mapperMsg) {
 	if gid, ok := c.sl.tenantGID[m.req.Tenant]; ok {
 		c.mapper.DST().Bind(gid, m.req.Kind)
 		m.out.gid = gid
-		m.done.Fire()
+		c.fireReply(m)
 		return
 	}
 	if _, asked := c.sl.tenantAsk[m.req.Tenant]; !asked {
@@ -139,7 +138,7 @@ func (c *Cluster) handleSliceSelect(p *sim.Proc, m mapperMsg) {
 	}
 	if gid, ok := c.placeSlice(p, m.req); ok {
 		m.out.gid = gid
-		m.done.Fire()
+		c.fireReply(m)
 		return
 	}
 	c.results.SliceParks++
@@ -178,39 +177,16 @@ func (c *Cluster) carveSlice(p *sim.Proc, parent balancer.GID, req balancer.Requ
 	if err != nil {
 		panic(fmt.Sprintf("core: %v", err))
 	}
-	d := gpu.NewDevice(c.K, spec, int(gid))
-	if c.cfg.Trace {
-		tr := &gpu.UtilTrace{}
-		d.SetTracer(tr)
-		c.traces = append(c.traces, tr)
-	} else {
-		c.traces = append(c.traces, nil)
-	}
-	if c.cfg.Recorder.Enabled() {
-		g, rec := int(gid), c.cfg.Recorder
-		d.SetOnComplete(func(op *gpu.Op) {
-			if op.Kind == gpu.OpMarker {
-				return
-			}
-			rec.Complete(trace.KOp, op.Kind.String(),
-				op.AppID, g, op.Bytes, op.Started, op.Finished)
-		})
-	}
-	c.devices = append(c.devices, d)
-	c.gpuDown = append(c.gpuDown, false)
-	c.stallUntil = append(c.stallUntil, 0)
-	c.degrade = append(c.degrade, 0)
+	// Partitionable fleets collapse to one environment, so the slice joins
+	// its parent's environment, which is also the mapper's.
+	e := c.envOfGID[parent]
+	d := c.addDevice(e, spec)
 	dp, err := c.devPolicy()
 	if err != nil {
 		panic(fmt.Sprintf("core: %v", err)) // validated at New
 	}
-	// Slice carving only runs in the single-kernel path (partitionable
-	// fleets collapse sharding), so the new device joins the sole
-	// environment.
-	s := c.newSched(c.envs[0], d, int(gid), dp)
-	c.scheds = append(c.scheds, s)
-	c.envOfGID = append(c.envOfGID, 0)
-	c.backs = append(c.backs, newStringsBackend(c, c.envs[0], int(gid)))
+	c.scheds = append(c.scheds, c.newSched(e, d, int(gid), dp))
+	c.backs = append(c.backs, newStringsBackend(c, e, int(gid)))
 
 	pe, _ := c.gmap.Lookup(parent)
 	c.mapper.DST().AddRow(&balancer.DSTEntry{
@@ -267,12 +243,12 @@ func (c *Cluster) admitParked(p *sim.Proc) {
 		if gid, ok := c.sl.tenantGID[m.req.Tenant]; ok {
 			c.mapper.DST().Bind(gid, m.req.Kind)
 			m.out.gid = gid
-			m.done.Fire()
+			c.fireReply(m)
 			continue
 		}
 		if gid, ok := c.placeSlice(p, m.req); ok {
 			m.out.gid = gid
-			m.done.Fire()
+			c.fireReply(m)
 			continue
 		}
 		kept = append(kept, m)

@@ -295,6 +295,19 @@ func TestAblationAppStyleOrdering(t *testing.T) {
 	}
 }
 
+// TestAblationAppStyleNoOOM: at 12 requests the CUDA/pipelined MonteCarlo
+// cell outgrows the Quadro 2000's memory; memory admission must absorb it.
+func TestAblationAppStyleNoOOM(t *testing.T) {
+	tab := NewSuite(Options{Seed: 1, Requests: 12}).AblationAppStyle()
+	for _, name := range []string{"CUDA/sync", "CUDA/pipelined", "Strings/sync", "Strings/pipelined"} {
+		for i, v := range tab.Row(name) {
+			if v <= 0 {
+				t.Errorf("%s/%s: mean completion %v", name, tab.Labels[i], v)
+			}
+		}
+	}
+}
+
 func TestParallelWorkersDeterministic(t *testing.T) {
 	run := func(workers int) []float64 {
 		ps := workload.Pairs()

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/core"
+	"repro/internal/cuda"
 	"repro/internal/metrics"
 	"repro/internal/workload"
 )
@@ -14,7 +15,10 @@ import (
 // (§III.B.2) shows up clearly: an unmodified synchronous application under
 // Strings finishes far ahead of even the hand-pipelined application on the
 // bare runtime, because Strings combines the recovered asynchrony with
-// balancing and context packing.
+// balancing and context packing. Every series runs under memory admission
+// (cuda.Config.BlockOnOOM): at a dozen or more requests the pipelined
+// applications' double buffers exceed the Quadro 2000's memory, and an
+// allocation that does not fit waits for capacity instead of failing.
 func (s *Suite) AblationAppStyle() *metrics.Table {
 	kinds := []workload.Kind{workload.MonteCarlo, workload.BinomialOptions}
 	labels := make([]string, len(kinds))
@@ -34,7 +38,10 @@ func (s *Suite) AblationAppStyle() *metrics.Table {
 		for _, sr := range series {
 			r := s.run(scenario{
 				key: fmt.Sprintf("abl-style/%s/%s", sr.name, k),
-				cfg: core.Config{Nodes: singleNode(), Mode: sr.mode, Balance: "GMin"},
+				cfg: core.Config{
+					Nodes: singleNode(), Mode: sr.mode, Balance: "GMin",
+					CUDA: cuda.Config{BlockOnOOM: true},
+				},
 				streams: []workload.StreamSpec{{
 					Kind: k, Count: s.opt.Requests, LambdaFactor: s.opt.LambdaFactor,
 					Node: 0, Tenant: 1, Weight: 1, Style: sr.style,

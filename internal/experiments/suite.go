@@ -59,8 +59,8 @@ type Options struct {
 	// split into one shard kernel per node advancing concurrently under the
 	// conservative window protocol, with Shards barrier workers. Results
 	// are bit-identical for any Shards >= 1; single-node and MIG scenarios
-	// collapse to the classic single kernel. 0 keeps the legacy path
-	// (goldens are pinned against it).
+	// collapse to one environment on one kernel. 0 keeps every node in one
+	// environment (goldens are pinned against it).
 	Shards int
 
 	// FreshKernels disables kernel recycling: every scenario builds its
@@ -196,7 +196,7 @@ func (s *Suite) run(sc scenario) *core.RunResult {
 			if err != nil {
 				panic(fmt.Sprintf("experiments: %v", err))
 			}
-			// Sharded clusters own a barrier worker pool; legacy ones no-op.
+			// Sharded clusters own a barrier worker pool; others no-op.
 			defer c.Close()
 			var r *core.RunResult
 			if sc.horizon > 0 {
