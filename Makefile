@@ -19,9 +19,11 @@ race:
 	@# The sharded kernel's concurrency surface, raced at full strength:
 	@# the coordinator's window/solo machinery, the cross-shard cluster
 	@# invariance matrix, and the sharded mega smoke (skipped under -short
-	@# above) all run with the barrier worker pool live.
-	$(GO) test -race -run 'TestRing|TestShard|TestSolo|TestRunMegaSharded' \
-		./internal/sim/shard/ ./internal/core/ ./stringsched/
+	@# above) all run with the barrier worker pool live. The reap and leak
+	@# tests join them: Close resumes each process's coroutine from the
+	@# closing goroutine, not from the shard worker that last ran it.
+	$(GO) test -race -run 'TestRing|TestShard|TestSolo|TestRunMegaSharded|TestReap|TestLeak' \
+		./internal/sim/ ./internal/sim/shard/ ./internal/core/ ./stringsched/
 	@# The cluster tier's invariance matrix (rerun, workers 1 vs 8,
 	@# shards 1 vs 4) raced at quick scale: the supernode runs go through
 	@# the sweep worker pool and the shard barrier with the detector live.

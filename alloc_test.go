@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"runtime"
 	"testing"
+	"time"
 
 	"repro/internal/sim"
 	"repro/stringsched"
@@ -24,6 +25,7 @@ func throughputRun(seed int64) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
+	defer c.Close()
 	r, err := c.Run([]stringsched.StreamSpec{{
 		Kind: stringsched.MonteCarlo, Count: 6, LambdaFactor: 0.5,
 		Node: 0, Tenant: 1, Weight: 1,
@@ -103,7 +105,7 @@ func TestKernelSteadyStateZeroAlloc(t *testing.T) {
 	})
 	k.RunUntil(10_000) // warm up: rings grown, coroutines started
 	var ms0, ms1 runtime.MemStats
-	runtime.GC()
+	settleHeap()
 	runtime.ReadMemStats(&ms0)
 	n := k.RunUntil(100_000)
 	runtime.ReadMemStats(&ms1)
@@ -114,5 +116,27 @@ func TestKernelSteadyStateZeroAlloc(t *testing.T) {
 		// Tolerate a stray runtime-internal allocation or two; the dispatch
 		// path itself must contribute none across tens of thousands of events.
 		t.Fatalf("steady-state dispatch allocated %d times over %d events", allocs, n)
+	}
+}
+
+// settleHeap runs a full collection and then waits until the process's
+// allocation count stops moving. Each collection wakes runtime housekeeping
+// that allocates on goroutines of its own: the cleanup of the unique
+// package's maps (registered by net/netip, which this binary links) makes
+// six allocations per cycle. Run right before a measured window, it would
+// bill those to the code under test whenever the scheduler lets it overlap.
+// Waiting for a quiet interval first keeps the window's count to what the
+// measured code allocates.
+func settleHeap() {
+	runtime.GC()
+	var prev, cur runtime.MemStats
+	runtime.ReadMemStats(&prev)
+	for i := 0; i < 100; i++ {
+		time.Sleep(5 * time.Millisecond)
+		runtime.ReadMemStats(&cur)
+		if cur.Mallocs == prev.Mallocs {
+			return
+		}
+		prev = cur
 	}
 }

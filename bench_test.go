@@ -204,6 +204,7 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 			Kind: stringsched.MonteCarlo, Count: 6, LambdaFactor: 0.5,
 			Node: 0, Tenant: 1, Weight: 1,
 		}})
+		c.Close()
 		if err != nil || len(r.Errors) > 0 {
 			b.Fatalf("%v %v", err, r.Errors)
 		}
@@ -236,6 +237,7 @@ func BenchmarkTracedRun(b *testing.B) {
 			Kind: stringsched.MonteCarlo, Count: 6, LambdaFactor: 0.5,
 			Node: 0, Tenant: 1, Weight: 1,
 		}})
+		c.Close()
 		if err != nil || len(r.Errors) > 0 {
 			b.Fatalf("%v %v", err, r.Errors)
 		}

@@ -98,6 +98,7 @@ func throughputScenario(seed int64, rec *stringsched.TraceRecorder) (uint64, flo
 	if err != nil {
 		return 0, 0, err
 	}
+	defer c.Close()
 	r, err := c.Run([]stringsched.StreamSpec{{
 		Kind: stringsched.MonteCarlo, Count: 6, LambdaFactor: 0.5,
 		Node: 0, Tenant: 1, Weight: 1,

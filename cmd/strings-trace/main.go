@@ -124,6 +124,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "strings-trace: %v\n", err)
 		return 1
 	}
+	defer cluster.Close()
 	r, err := cluster.Run([]stringsched.StreamSpec{{
 		Kind: kind, Count: *count, LambdaFactor: *lambda,
 		Node: 0, Tenant: 1, Weight: 1,

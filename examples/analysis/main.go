@@ -24,6 +24,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	defer cluster.Close()
 	r, err := cluster.Run([]stringsched.StreamSpec{
 		{Kind: stringsched.Histogram, Count: 5, LambdaFactor: 0.5, Node: 0, Tenant: 1, Weight: 1},
 		{Kind: stringsched.MonteCarlo, Count: 10, LambdaFactor: 0.5, Node: 0, Tenant: 2, Weight: 1},

@@ -35,6 +35,7 @@ func main() {
 			log.Fatal(err)
 		}
 		r, err := cluster.Run(streams)
+		cluster.Close()
 		if err != nil {
 			log.Fatal(err)
 		}

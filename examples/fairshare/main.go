@@ -26,6 +26,7 @@ func measure(mode stringsched.Mode, devPolicy string) *stringsched.RunResult {
 	if err != nil {
 		log.Fatal(err)
 	}
+	defer cluster.Close()
 	r, err := cluster.RunUntil([]stringsched.StreamSpec{
 		{Kind: stringsched.Histogram, Count: 10, Lambda: stringsched.Second, Node: 0, Tenant: 1, Weight: 3},
 		{Kind: stringsched.MonteCarlo, Count: 40, Lambda: stringsched.Second / 2, Node: 0, Tenant: 2, Weight: 1},

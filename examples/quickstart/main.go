@@ -49,6 +49,7 @@ func main() {
 			log.Fatal(err)
 		}
 		r, err := cluster.Run(stream)
+		cluster.Close()
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -14,6 +14,8 @@ import (
 	"repro/stringsched"
 )
 
+// run simulates the supernode under one balancing policy. The cluster it
+// returns is closed; its gPool and device stats stay readable.
 func run(balance string) (*stringsched.RunResult, *stringsched.Cluster) {
 	cluster, err := stringsched.NewCluster(stringsched.Config{
 		Seed: 11,
@@ -27,6 +29,7 @@ func run(balance string) (*stringsched.RunResult, *stringsched.Cluster) {
 	if err != nil {
 		log.Fatal(err)
 	}
+	defer cluster.Close()
 	r, err := cluster.Run([]stringsched.StreamSpec{
 		{Kind: stringsched.Histogram, Count: 6, LambdaFactor: 0.5, Node: 0, Tenant: 1, Weight: 1},
 		{Kind: stringsched.MonteCarlo, Count: 10, LambdaFactor: 0.5, Node: 1, Tenant: 2, Weight: 1},

@@ -167,6 +167,8 @@ type Cluster struct {
 	envOfNode []*shardEnv
 	envOfGID  []*shardEnv
 
+	closed bool // set by Close; a closed cluster refuses to run
+
 	// Injected fault state, indexed by GID and written only by the fault
 	// injector (all zero in fault-free runs).
 	gpuDown    []bool

@@ -247,6 +247,9 @@ func (c *Cluster) RunUntil(streams []workload.StreamSpec, horizon sim.Time) (*Ru
 
 // launch validates the streams and spawns each one's arrival process.
 func (c *Cluster) launch(streams []workload.StreamSpec) error {
+	if c.closed {
+		return errors.New("core: run after Close")
+	}
 	if err := c.prepareSlices(streams); err != nil {
 		return err
 	}

@@ -158,11 +158,24 @@ func (c *Cluster) Recorders() []*trace.Recorder {
 	return recs
 }
 
-// Close releases the shard coordinator's barrier workers. A no-op for
-// single-environment clusters; safe to call more than once.
+// Close releases what the cluster holds beyond its results: the shard
+// coordinator's barrier workers, then every environment kernel's processes
+// (sim.Kernel.Reap), so the daemons a run leaves parked — mapper, drivers,
+// dispatchers, timers, anything cut off by a RunUntil horizon — give back
+// their goroutines. Results, device stats and the kernels' counters stay
+// readable afterwards, but Run and RunUntil must not follow it. A cluster
+// built on a Config.Kernel must be closed before that kernel is handed to
+// anyone else. Safe to call more than once.
 func (c *Cluster) Close() {
+	if c.closed {
+		return
+	}
+	c.closed = true
 	if c.coord != nil {
 		c.coord.Close()
+	}
+	for _, e := range c.envs {
+		e.k.Reap()
 	}
 }
 

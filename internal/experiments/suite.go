@@ -196,8 +196,6 @@ func (s *Suite) run(sc scenario) *core.RunResult {
 			if err != nil {
 				panic(fmt.Sprintf("experiments: %v", err))
 			}
-			// Sharded clusters own a barrier worker pool; others no-op.
-			defer c.Close()
 			var r *core.RunResult
 			if sc.horizon > 0 {
 				r, err = c.RunUntil(sc.streams, sc.horizon)
@@ -211,6 +209,10 @@ func (s *Suite) run(sc scenario) *core.RunResult {
 				panic(fmt.Sprintf("experiments: scenario %s: app errors: %v", sc.key, r.Errors[0]))
 			}
 			pooled.Merge(r)
+			// Release the replicate's processes (and a sharded cluster's
+			// barrier workers) before the next replicate resets the kernel
+			// and before the kernel goes back to the arena.
+			c.Close()
 			s.mu.Lock()
 			s.Runs++
 			s.mu.Unlock()

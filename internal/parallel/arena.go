@@ -43,7 +43,8 @@ func (a *KernelArena) Get() *sim.Kernel {
 
 // Put returns a kernel to the arena. The kernel must be quiescent: its run
 // finished, no caller retains references that would observe the next
-// user's Reset.
+// user's Reset. Reap it first (core.Cluster.Close does) so the pooled
+// kernel holds no suspended process and pins nothing of its last model.
 func (a *KernelArena) Put(k *sim.Kernel) {
 	if k == nil {
 		return

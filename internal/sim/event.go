@@ -121,9 +121,10 @@ func (s *Signal) NotifyOne() bool {
 // Waiting returns the number of processes parked on s.
 func (s *Signal) Waiting() int { return s.waiters.Len() }
 
-// Reset abandons any parked waiters and keeps the ring's backing array for
-// reuse. Like Kernel.Reset it must only run between simulations — dropped
-// waiters are never woken.
+// Reset drops any parked waiters and keeps the ring's backing array for
+// reuse. Like Kernel.Reset it must only run between simulations: dropped
+// waiters get no wakeup, and Kernel.Reap (which Kernel.Reset runs) unwinds
+// them.
 func (s *Signal) Reset() { s.waiters.Reset() }
 
 // drop removes p from the waiter list (used when a timed wait times out).

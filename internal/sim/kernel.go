@@ -1,9 +1,10 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
-	"iter"
 	"math/rand"
+	"slices"
 	"sort"
 )
 
@@ -42,6 +43,11 @@ const DefaultFFHorizon = Millisecond
 // several times cheaper than a channel round trip. A process that is its own
 // next activation (Yield, Sleep(0), a self-wakeup at now) consumes the
 // activation inline and continues with no switch at all.
+//
+// A process's coroutine is created by its first dispatch, not by Go, and
+// Reap (which Reset calls first) unwinds every process still suspended when
+// a simulation is over, so a finished kernel holds no goroutine and keeps
+// nothing of its model reachable.
 //
 // A Kernel is not safe for use from goroutines other than its own processes
 // and the single goroutine driving Run/RunUntil.
@@ -112,34 +118,77 @@ func NewKernel(seed int64) *Kernel {
 // run is bit-exact with what a new kernel would produce (regression-tested).
 //
 // Reset must only be called between runs — after Run/RunUntil has returned
-// and before any new process is created. Processes left parked by a previous
-// run (for example by a RunUntil horizon) are abandoned: their activations
-// are discarded with the heap and they are never woken again, exactly as if
-// the old kernel had been dropped. Any installed tracer is removed, and the
-// timer facility restarts lazily on the next After call.
+// and before any new process is created. It first reaps (see Reap), so
+// processes left parked by a previous run (for example by a RunUntil
+// horizon) are unwound and their goroutines released before the clock
+// rewinds. Any installed tracer is removed, and the timer facility restarts
+// lazily on the next After call.
 func (k *Kernel) Reset(seed int64) {
-	if k.running != nil {
+	if k.active() {
 		panic("sim: Reset during an active run")
 	}
+	k.Reap()
 	k.now = 0
 	k.seq = 0
 	k.limit = maxTime
-	k.future.reset()
-	k.nowQ.Reset()
 	k.dispatched = 0
-	clear(k.procs)
 	k.nextID = 0
 	k.rng = rand.New(rand.NewSource(seed))
 	k.tracer = nil
-	k.stopped = false
 	k.ffHorizon = DefaultFFHorizon
 	k.ffJumps = 0
 	k.ffSkipped = 0
-	// Dropping the timer state (rather than clearing it) detaches the old
-	// timer process, which may still be parked on the old kick signal; a
-	// reused kernel lazily starts a new one.
+}
+
+// Reap ends every live process between runs and drops the kernel's
+// references to them, so a finished simulation releases its goroutines and
+// everything they kept reachable. Processes are unwound in id order: each
+// suspended coroutine is stopped, which makes its pending park panic with an
+// internal sentinel that runs the process's deferred calls and is recovered
+// at the top of the process. Those deferred calls may fire events or
+// release resources; whatever they schedule is discarded, and one that
+// blocks is unwound in turn instead of resuming the simulation. A process
+// that was never dispatched has no coroutine and is simply dropped. Any
+// other panic raised while unwinding propagates to the caller.
+//
+// Afterwards the process table, the event heap, the now-queue and the timer
+// facility are empty and NextEventTime reports the kernel quiescent; the
+// clock, the dispatch and fast-forward counters and the random stream are
+// left as they were, so a finished run stays readable. Reap must not be
+// called from inside a process, but may follow a run that a process's panic
+// cut short.
+func (k *Kernel) Reap() {
+	if k.active() {
+		panic("sim: Reap during an active run")
+	}
+	live := make([]*Proc, 0, len(k.procs))
+	for p := range k.procs {
+		live = append(live, p)
+	}
+	slices.SortFunc(live, func(a, b *Proc) int { return cmp.Compare(a.id, b.id) })
+	// stopped keeps a deferred call's park off the same-instant fast path,
+	// so it yields to the stop and unwinds rather than running on.
+	k.stopped = true
+	for _, p := range live {
+		if p.stop != nil && !p.done {
+			k.running = p
+			p.stop()
+		}
+		p.done = true
+	}
+	k.running = nil
+	k.stopped = false
+	clear(k.procs)
+	k.future.reset()
+	k.nowQ.Reset()
+	// Dropping the timer state (rather than clearing it) detaches the timer
+	// process reaped above; the next After lazily starts a new one.
 	k.timers = nil
 }
+
+// active reports whether a process is executing. A process whose panic
+// unwound out of RunUntil has ended, so it no longer counts.
+func (k *Kernel) active() bool { return k.running != nil && !k.running.done }
 
 // Now returns the current virtual time.
 func (k *Kernel) Now() Time { return k.now }
@@ -198,8 +247,9 @@ func (k *Kernel) GoNamed(nameFn func() string, fn func(p *Proc)) *Proc {
 	return k.spawn("", nameFn, fn)
 }
 
-// spawn creates the process coroutine. The coroutine body runs on first
-// resume; control returns to the resumer whenever the process parks.
+// spawn registers a process and schedules its first activation. The
+// coroutine is created lazily by the first dispatch (Proc.start), so
+// building a model that never runs starts no goroutine.
 func (k *Kernel) spawn(name string, nameFn func() string, fn func(p *Proc)) *Proc {
 	k.nextID++
 	p := &Proc{
@@ -207,19 +257,9 @@ func (k *Kernel) spawn(name string, nameFn func() string, fn func(p *Proc)) *Pro
 		id:     k.nextID,
 		name:   name,
 		nameFn: nameFn,
+		fn:     fn,
 	}
 	k.procs[p] = struct{}{}
-	// The stop half of the pull pair is discarded: forcing a suspended
-	// process to unwind would run its remaining code against a torn-down
-	// kernel. Abandoned processes simply stay suspended, exactly as the
-	// channel-parked goroutines they replace did.
-	p.resume, _ = iter.Pull(func(yield func(struct{}) bool) {
-		p.yield = yield
-		p.epoch++
-		fn(p)
-		p.done = true
-		delete(k.procs, p)
-	})
 	k.schedule(p, k.now, wakeStart)
 	return p
 }
@@ -331,6 +371,9 @@ func (k *Kernel) RunUntil(limit Time) int {
 		a.proc.wakeTag = a.tag
 		k.dispatched++
 		k.running = a.proc
+		if a.proc.resume == nil {
+			a.proc.start()
+		}
 		a.proc.resume()
 	}
 	k.running = nil

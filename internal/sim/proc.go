@@ -1,6 +1,9 @@
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"iter"
+)
 
 // Proc is a simulated process: a coroutine cooperatively scheduled by a
 // Kernel. All Proc methods must be called from the process's own function;
@@ -12,9 +15,13 @@ type Proc struct {
 	name   string
 	nameFn func() string // lazy name, formatted on first use (GoNamed)
 
-	// resume switches into the process's coroutine (the driver side of
-	// iter.Pull); yield switches back out (called by park).
+	// fn is the process body, held until the first dispatch creates the
+	// coroutine (start). resume switches into the coroutine (the driver
+	// side of iter.Pull), yield switches back out (called by park), and
+	// stop unwinds a suspended coroutine (Kernel.Reap).
+	fn     func(p *Proc)
 	resume func() (struct{}, bool)
+	stop   func()
 	yield  func(struct{}) bool
 
 	epoch   uint64 // incremented on every wakeup; see activation.epoch
@@ -43,12 +50,45 @@ func (p *Proc) Kernel() *Kernel { return p.k }
 // Now returns the current virtual time.
 func (p *Proc) Now() Time { return p.k.now }
 
+// reaped is the panic value park raises when Kernel.Reap stops a suspended
+// process: it unwinds the process's stack, running its deferred calls, and
+// is recovered by the coroutine body in start. Simulation code must not
+// recover it.
+type reaped struct{}
+
+// start creates the process's coroutine. The kernel calls it on the first
+// dispatch rather than at Go, so a process that never runs never costs a
+// goroutine. The body runs fn and then retires the process; a reap unwinds
+// it through park's panic instead, which the deferred recover absorbs while
+// letting every other panic propagate to the caller of resume or stop.
+func (p *Proc) start() {
+	fn := p.fn
+	p.fn = nil
+	p.resume, p.stop = iter.Pull(func(yield func(struct{}) bool) { //lint:allow hotalloc -- one coroutine per process, created on its first dispatch instead of at Go; never more than one per Go call
+		defer func() {
+			if r := recover(); r != nil {
+				if _, ok := r.(reaped); !ok {
+					p.done = true // the panic ends the process; a reap may follow
+					panic(r)
+				}
+			}
+		}()
+		p.yield = yield
+		p.epoch++
+		fn(p)
+		p.done = true
+		delete(p.k.procs, p)
+	})
+}
+
 // park cedes control and blocks until this process's next wakeup. If the
 // process is itself the next activation — a Yield, Sleep(0) or self-wakeup
 // at the current instant — it consumes the activation inline and continues
 // without a coroutine switch; otherwise it yields back to the RunUntil
 // driver, which resumes the next process. Stale activations encountered on
-// the way are discarded exactly as the driver would.
+// the way are discarded exactly as the driver would. When Kernel.Reap
+// stops the process instead of resuming it, park panics with reaped to
+// unwind it.
 func (p *Proc) park() {
 	p.parked = true
 	k := p.k
@@ -76,7 +116,9 @@ func (p *Proc) park() {
 		p.epoch++
 		return
 	}
-	p.yield(struct{}{})
+	if !p.yield(struct{}{}) {
+		panic(reaped{}) // Kernel.Reap is unwinding this process
+	}
 	p.parked = false
 	p.epoch++
 }

@@ -26,7 +26,8 @@ func (q *Queue[T]) Cap() int { return q.items.Cap() }
 
 // Reset discards all buffered items and waiting receivers, keeping the ring
 // backing arrays for reuse. Like Kernel.Reset it must only be used between
-// runs: parked receivers are abandoned, not woken.
+// runs: parked receivers are dropped without a wakeup, and Kernel.Reap
+// (which Kernel.Reset runs) unwinds them.
 func (q *Queue[T]) Reset() {
 	q.items.Reset()
 	q.ready.Reset()

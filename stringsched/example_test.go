@@ -20,6 +20,7 @@ func ExampleNewCluster() {
 	if err != nil {
 		panic(err)
 	}
+	defer cluster.Close()
 	r, err := cluster.Run([]stringsched.StreamSpec{{
 		Kind: stringsched.Gaussian, Count: 3, LambdaFactor: 0.6,
 		Node: 0, Tenant: 1, Weight: 1,

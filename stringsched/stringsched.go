@@ -77,7 +77,10 @@ var (
 	TeslaC2070 = gpu.TeslaC2070
 )
 
-// NewCluster builds a cluster from cfg.
+// NewCluster builds a cluster from cfg. Building starts no goroutine; the
+// simulated processes get theirs when Run first dispatches them. Close the
+// cluster when done with it to release them: results and device stats stay
+// readable after Close, but Run must not follow it.
 func NewCluster(cfg Config) (*Cluster, error) { return core.New(cfg) }
 
 // MIG-style device partitioning: a DeviceSpec carrying slice profiles (see
