@@ -21,8 +21,10 @@ race:
 	@# invariance matrix, and the sharded mega smoke (skipped under -short
 	@# above) all run with the barrier worker pool live. The reap and leak
 	@# tests join them: Close resumes each process's coroutine from the
-	@# closing goroutine, not from the shard worker that last ran it.
-	$(GO) test -race -run 'TestRing|TestShard|TestSolo|TestRunMegaSharded|TestReap|TestLeak' \
+	@# closing goroutine, not from the shard worker that last ran it. So do
+	@# the reactor tests: a reactor's step runs on whichever goroutine
+	@# dispatches it, a shard worker or a parked process's coroutine.
+	$(GO) test -race -run 'TestRing|TestShard|TestSolo|TestRunMegaSharded|TestReap|TestLeak|TestReactor' \
 		./internal/sim/ ./internal/sim/shard/ ./internal/core/ ./stringsched/
 	@# The cluster tier's invariance matrix (rerun, workers 1 vs 8,
 	@# shards 1 vs 4) raced at quick scale: the supernode runs go through

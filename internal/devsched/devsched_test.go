@@ -275,6 +275,27 @@ func TestDispatcherGatesThreads(t *testing.T) {
 	s.Close()
 }
 
+// TestSchedulerCloseRetiresDispatcher checks that Close retires the
+// dispatcher reactor even while it re-arms every epoch.
+func TestSchedulerCloseRetiresDispatcher(t *testing.T) {
+	k := sim.NewKernel(1)
+	dev := testDev(k)
+	s := New(k, dev, 0, LAS{}, Config{Epoch: 100 * sim.Microsecond})
+	s.Register(1, 1, 1, "X", constBacklog(1))
+	k.RunUntil(sim.Millisecond)
+	if n := k.ProcCount(); n != 2 {
+		t.Fatalf("ProcCount %d at the horizon, want 2 (driver and dispatcher)", n)
+	}
+	k.Go("closer", func(p *sim.Proc) {
+		s.Close()
+		dev.Close()
+	})
+	k.Run()
+	if n := k.ProcCount(); n != 0 {
+		t.Fatalf("%d processes alive after Close, want 0", n)
+	}
+}
+
 func TestWaitTurnReleasesImmediatelyWhenAwake(t *testing.T) {
 	k := sim.NewKernel(1)
 	s := New(k, testDev(k), 0, AllAwake{}, Config{})

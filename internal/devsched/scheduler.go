@@ -54,7 +54,6 @@ type Scheduler struct {
 	gen          uint64 // dispatcher pick generation (see dispatch)
 	nextSig      int
 	kick         *sim.Signal
-	kicked       bool
 	running      bool
 	closed       bool
 	rec          *trace.Recorder
@@ -208,17 +207,18 @@ func (s *Scheduler) WaitTurn(p *sim.Proc, e *Entry) {
 
 // Kick forces a dispatcher re-evaluation at the current instant.
 func (s *Scheduler) Kick() {
-	s.kicked = true
 	s.kick.Notify()
 }
 
-// Close stops the dispatcher once it next wakes.
+// Close stops the dispatcher once it next wakes: its step then arms no
+// wakeup, which retires the reactor.
 func (s *Scheduler) Close() {
 	s.closed = true
 	s.Kick()
 }
 
-// ensureDispatcher starts the dispatcher process on first registration.
+// ensureDispatcher starts the dispatcher on first registration, as a kernel
+// reactor: its step runs inline at each epoch or kick and never blocks.
 // AllAwake needs no dispatcher.
 func (s *Scheduler) ensureDispatcher() {
 	if s.running {
@@ -228,60 +228,58 @@ func (s *Scheduler) ensureDispatcher() {
 		return
 	}
 	s.running = true
-	s.k.Go(nameFor(s.gid), s.dispatch)
+	s.k.React(nameFor(s.gid), s.dispatch)
 }
 
 func nameFor(gid int) string {
 	return fmt.Sprintf("devsched-%d", gid)
 }
 
-// dispatch is the Dispatcher loop: every epoch (or kick) it refreshes the
-// Request Monitor's accounting and applies the policy's wake set.
+// dispatch is the Dispatcher's step: every epoch (or kick) it refreshes
+// the Request Monitor's accounting, applies the policy's wake set and arms
+// the next epoch or kick. After Close it arms nothing, which retires the
+// reactor.
 //
 //strings:hotpath
 func (s *Scheduler) dispatch(p *sim.Proc) {
-	for {
-		if s.closed {
-			return
-		}
-		if len(s.entries) == 0 {
-			s.kicked = false
-			p.WaitSignal(s.kick)
-			continue
-		}
-		s.refresh()
-		// The policy sees the live slice (already app-id ordered; policies
-		// never reorder it). Picks are marked with a generation counter on
-		// the entry, replacing a per-epoch set allocation.
-		s.gen++
-		awake := s.policy.Pick(p.Now(), s.entries, &s.cfg)
-		for _, e := range awake {
-			e.pickGen = s.gen
-		}
-		anyWork := false
-		for _, e := range s.entries {
-			if e.HasWork() {
-				anyWork = true
-			}
-			want := e.pickGen == s.gen
-			if want && !e.Awake {
-				e.Awake = true
-				e.Wake.Notify()
-				s.rec.Event(trace.KWake, p.Now(), "", e.AppID, s.gid, 0)
-			} else if !want && e.Awake {
-				e.Awake = false
-				s.rec.Event(trace.KSleep, p.Now(), "", e.AppID, s.gid, 0)
-			}
-		}
-		s.kicked = false
-		if !anyWork {
-			// Nothing to arbitrate: sleep until a thread shows up with
-			// work (WaitTurn kicks) or membership changes.
-			p.WaitSignal(s.kick)
-			continue
-		}
-		p.WaitSignalTimeout(s.kick, s.cfg.Epoch)
+	if s.closed {
+		return
 	}
+	if len(s.entries) == 0 {
+		p.ArmSignal(s.kick)
+		return
+	}
+	s.refresh()
+	// The policy sees the live slice (already app-id ordered; policies
+	// never reorder it). Picks are marked with a generation counter on the
+	// entry, replacing a per-epoch set allocation.
+	s.gen++
+	awake := s.policy.Pick(p.Now(), s.entries, &s.cfg)
+	for _, e := range awake {
+		e.pickGen = s.gen
+	}
+	anyWork := false
+	for _, e := range s.entries {
+		if e.HasWork() {
+			anyWork = true
+		}
+		want := e.pickGen == s.gen
+		if want && !e.Awake {
+			e.Awake = true
+			e.Wake.Notify()
+			s.rec.Event(trace.KWake, p.Now(), "", e.AppID, s.gid, 0)
+		} else if !want && e.Awake {
+			e.Awake = false
+			s.rec.Event(trace.KSleep, p.Now(), "", e.AppID, s.gid, 0)
+		}
+	}
+	if !anyWork {
+		// Nothing to arbitrate: sleep until a thread shows up with work
+		// (WaitTurn kicks) or membership changes.
+		p.ArmSignal(s.kick)
+		return
+	}
+	p.ArmSignalTimeout(s.kick, s.cfg.Epoch)
 }
 
 // refresh updates every entry's Request Monitor state from the device.

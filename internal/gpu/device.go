@@ -8,10 +8,12 @@ import (
 )
 
 // Device is a simulated GPU. Work is submitted on streams belonging to
-// contexts; a driver process multiplexes contexts onto the hardware (only the
+// contexts; a driver multiplexes contexts onto the hardware (only the
 // resident context's ops execute), dispatches stream-head ops onto the
 // compute and copy engines, and advances a processor-sharing model of
-// concurrent kernel execution.
+// concurrent kernel execution. The driver is a kernel reactor: it runs
+// whenever an op arrives, an op finishes or a context switch completes,
+// and never blocks in between.
 type Device struct {
 	k    *sim.Kernel
 	spec Spec
@@ -22,9 +24,9 @@ type Device struct {
 	resident *Context
 	residing sim.Time // when the resident context became resident
 	draining bool     // stop dispatching: waiting to switch contexts
+	switchTo *Context // incoming context while a context switch is underway
 
 	kick   *sim.Signal
-	kicked bool
 	closed bool
 
 	// Compute engine: the set of concurrently running kernels under a
@@ -73,7 +75,7 @@ type Tracer interface {
 }
 
 // NewDevice creates a device with the given spec and identifier and starts
-// its driver process on k.
+// its driver reactor on k.
 func NewDevice(k *sim.Kernel, spec Spec, id int) *Device {
 	d := &Device{
 		k:           k,
@@ -86,7 +88,7 @@ func NewDevice(k *sim.Kernel, spec Spec, id int) *Device {
 		appMemTraf:  make(map[int]float64),
 		appSwitch:   make(map[int]float64),
 	}
-	k.Go(fmt.Sprintf("gpu%d-driver", id), d.driver)
+	k.React(fmt.Sprintf("gpu%d-driver", id), d.driver)
 	return d
 }
 
@@ -103,7 +105,8 @@ func (d *Device) SetTracer(t Tracer) { d.tracer = t }
 // (after its Done event fires). Used by the Request Monitor.
 func (d *Device) SetOnComplete(fn func(*Op)) { d.onComplete = fn }
 
-// Close shuts the driver down once it next wakes. Pending work is abandoned.
+// Close shuts the driver down once it next wakes: its step then arms no
+// wakeup, which retires the reactor. Pending work is abandoned.
 func (d *Device) Close() {
 	d.closed = true
 	d.wake()
@@ -346,12 +349,19 @@ func (d *Device) MemUsed() int64 { return d.memUsed }
 
 // wake kicks the driver.
 func (d *Device) wake() {
-	d.kicked = true
 	d.kick.Notify()
 }
 
-// driver is the device's multiplexing and dispatch loop.
+// driver is the step of the device's multiplexing and dispatch reactor. It
+// finishes a context switch whose cost has elapsed, re-evaluates the device
+// until nothing changes at this instant, and then arms the next wakeup: the
+// earliest projected completion or a kick, or the end of a context switch
+// it began. After Close it arms nothing, which retires the reactor.
 func (d *Device) driver(p *sim.Proc) {
+	if next := d.switchTo; next != nil {
+		d.switchTo = nil
+		d.completeSwitch(next, p.Now())
+	}
 	for {
 		if d.closed {
 			return
@@ -362,21 +372,24 @@ func (d *Device) driver(p *sim.Proc) {
 			continue // completions change the engine sets; re-evaluate
 		}
 		if d.trySwitch(p) {
-			continue // residency changed (and time may have passed)
+			if d.switchTo != nil {
+				return // paying the switch cost; the next step completes it
+			}
+			continue // residency changed; re-evaluate
 		}
 		if d.dispatch(now) {
 			continue // dispatch changes the slowdown; re-evaluate
 		}
 		next, ok := d.nextWake()
-		d.kicked = false
 		if !ok {
-			p.WaitSignal(d.kick)
-			continue
+			p.ArmSignal(d.kick)
+			return
 		}
 		if next <= now {
 			continue
 		}
-		p.WaitSignalTimeout(d.kick, next-now)
+		p.ArmSignalTimeout(d.kick, next-now)
+		return
 	}
 }
 
@@ -510,7 +523,8 @@ func (d *Device) busyNow() bool {
 }
 
 // trySwitch evaluates driver-level context multiplexing. It returns true if
-// it slept (switched residency), so the driver re-evaluates timing.
+// it switched residency, or began a switch whose cost the driver now sleeps
+// through (switchTo is set and the wakeup armed).
 func (d *Device) trySwitch(p *sim.Proc) bool {
 	now := p.Now()
 	next := d.nextPendingContext()
@@ -544,9 +558,17 @@ func (d *Device) trySwitch(p *sim.Proc) bool {
 	d.switches++
 	d.switchTime += d.spec.ContextSwitch
 	if d.spec.ContextSwitch > 0 {
-		p.Sleep(d.spec.ContextSwitch)
+		d.switchTo = next
+		p.ArmSleep(d.spec.ContextSwitch)
+		return true
 	}
-	d.advance(p.Now())
+	d.completeSwitch(next, now)
+	return true
+}
+
+// completeSwitch makes next resident once the switch cost has been paid.
+func (d *Device) completeSwitch(next *Context, now sim.Time) {
+	d.advance(now)
 	if next.Owner >= 0 {
 		// The incoming context's owner "pays" for the switch, mirroring
 		// the coarse accounting of per-process-context runtimes. The
@@ -555,9 +577,8 @@ func (d *Device) trySwitch(p *sim.Proc) bool {
 		d.appSwitch[next.Owner] += float64(d.spec.ContextSwitch)
 	}
 	d.resident = next
-	d.residing = p.Now()
+	d.residing = now
 	d.draining = false
-	return true
 }
 
 // nextPendingContext picks the context that should run next: the resident

@@ -459,6 +459,30 @@ func TestDeviceClose(t *testing.T) {
 	}
 }
 
+// TestDeviceCloseDuringContextSwitch closes the device while its driver
+// sleeps through a context switch: the driver completes the switch when
+// the cost has elapsed, then retires without running the incoming work.
+func TestDeviceCloseDuringContextSwitch(t *testing.T) {
+	k := sim.NewKernel(1)
+	d := NewDevice(k, testSpec(), 0)
+	s1, s2 := d.NewContext().NewStream(), d.NewContext().NewStream()
+	var second *sim.Event
+	k.Go("submit", func(p *sim.Proc) {
+		s1.Submit(&Op{Kind: OpKernel, Compute: 50000, AppID: 1})
+		second = s2.Submit(&Op{Kind: OpKernel, Compute: 50000, AppID: 2})
+		p.Sleep(100) // the first kernel runs 0..50, the switch 50..150
+		d.Close()
+	})
+	k.Run()
+	if n := k.ProcCount(); n != 0 {
+		t.Fatalf("%d processes alive after Close, want 0", n)
+	}
+	if st := d.Stats(); st.Switches != 1 || k.Now() != 150 || second.Fired() {
+		t.Fatalf("switches %d, end %v, second op fired %v; want 1, 150us, false",
+			st.Switches, k.Now(), second.Fired())
+	}
+}
+
 func TestOpKindString(t *testing.T) {
 	if OpH2D.String() != "H2D" || OpD2H.String() != "D2H" || OpKernel.String() != "KL" {
 		t.Fatal("OpKind mnemonics wrong")

@@ -19,10 +19,11 @@ const maxTime = Time(1<<62 - 1)
 const DefaultFFHorizon = Millisecond
 
 // Kernel is a deterministic discrete-event executor. Processes created with
-// Go run as coroutines (iter.Pull); the kernel enforces that exactly one
-// process executes at any instant, and every blocking operation hands control
-// back to the kernel, which advances the virtual clock to the next scheduled
-// activation.
+// Go run as coroutines (iter.Pull); processes created with React are
+// reactors, whose steps run to completion without a coroutine of their own.
+// The kernel enforces that exactly one process executes at any instant, and
+// every blocking operation hands control back to the kernel, which advances
+// the virtual clock to the next scheduled activation.
 //
 // Scheduling state is split in two for speed. Activations at a future instant
 // live in a 4-ary min-heap ordered by (time, sequence). Activations at the
@@ -40,9 +41,12 @@ const DefaultFFHorizon = Millisecond
 // handoffs: the RunUntil driver resumes the next activation's process with an
 // iter.Pull next(), and a parking process yields back. A coroutine switch
 // stays out of the goroutine scheduler entirely, which makes a handoff
-// several times cheaper than a channel round trip. A process that is its own
-// next activation (Yield, Sleep(0), a self-wakeup at now) consumes the
-// activation inline and continues with no switch at all.
+// several times cheaper than a channel round trip. Two kinds of activation
+// need no switch at all: a reactor's step runs on whichever stack dispatches
+// it (RunUntil's, or a parking process's), and a process that is its own
+// next activation (Yield, Sleep(0), a wakeup with only reactor steps in
+// between) consumes the activation inline and continues. Handoffs counts
+// each kind.
 //
 // A process's coroutine is created by its first dispatch, not by Go, and
 // Reap (which Reset calls first) unwinds every process still suspended when
@@ -58,6 +62,9 @@ type Kernel struct {
 	future     heap4[activation]
 	nowQ       Ring[activation]
 	dispatched uint64
+	resumes    uint64 // dispatches that resumed a coroutine (RunUntil)
+	inlined    uint64 // dispatches a parking process consumed itself (park)
+	reacted    uint64 // reactor steps run (react)
 	running    *Proc
 	procs      map[*Proc]struct{}
 	nextID     int
@@ -132,6 +139,7 @@ func (k *Kernel) Reset(seed int64) {
 	k.seq = 0
 	k.limit = maxTime
 	k.dispatched = 0
+	k.resumes, k.inlined, k.reacted = 0, 0, 0
 	k.nextID = 0
 	k.rng = rand.New(rand.NewSource(seed))
 	k.tracer = nil
@@ -147,16 +155,16 @@ func (k *Kernel) Reset(seed int64) {
 // internal sentinel that runs the process's deferred calls and is recovered
 // at the top of the process. Those deferred calls may fire events or
 // release resources; whatever they schedule is discarded, and one that
-// blocks is unwound in turn instead of resuming the simulation. A process
-// that was never dispatched has no coroutine and is simply dropped. Any
-// other panic raised while unwinding propagates to the caller.
+// blocks is unwound in turn instead of resuming the simulation. A reactor,
+// or a process that was never dispatched, has no coroutine and is simply
+// dropped. Any other panic raised while unwinding propagates to the caller.
 //
 // Afterwards the process table, the event heap, the now-queue and the timer
 // facility are empty and NextEventTime reports the kernel quiescent; the
-// clock, the dispatch and fast-forward counters and the random stream are
-// left as they were, so a finished run stays readable. Reap must not be
-// called from inside a process, but may follow a run that a process's panic
-// cut short.
+// clock, the dispatch, handoff and fast-forward counters and the random
+// stream are left as they were, so a finished run stays readable. Reap must
+// not be called from inside a process, but may follow a run that a
+// process's panic cut short.
 func (k *Kernel) Reap() {
 	if k.active() {
 		panic("sim: Reap during an active run")
@@ -182,7 +190,7 @@ func (k *Kernel) Reap() {
 	k.future.reset()
 	k.nowQ.Reset()
 	// Dropping the timer state (rather than clearing it) detaches the timer
-	// process reaped above; the next After lazily starts a new one.
+	// reactor dropped above; the next After lazily starts a new one.
 	k.timers = nil
 }
 
@@ -200,6 +208,16 @@ func (k *Kernel) Rand() *rand.Rand { return k.rng }
 // kernel's lifetime (stale wakeups excluded). It is the event count behind
 // events/sec throughput reporting.
 func (k *Kernel) Dispatched() uint64 { return k.dispatched }
+
+// Handoffs splits Dispatched by how each activation reached its process:
+// resumes switched into a coroutine from RunUntil, inline activations were
+// consumed by a parking process that was itself next (no switch), and
+// reactor activations ran a reactor's step on the dispatching stack (no
+// switch). resumes + inline + reactor == Dispatched(); Reset zeroes all
+// three.
+func (k *Kernel) Handoffs() (resumes, inline, reactor uint64) {
+	return k.resumes, k.inlined, k.reacted
+}
 
 // SetTracer installs a trace callback invoked by Proc.Tracef. A nil tracer
 // disables tracing.
@@ -349,9 +367,9 @@ func (k *Kernel) Run() int {
 //
 // RunUntil is the dispatch driver: it pops activations and resumes each
 // process's coroutine, which runs until the process parks (yielding control
-// back) or exits. A parking process first consumes its own same-instant
-// re-activations inline, so only genuine cross-process handoffs reach the
-// driver.
+// back) or exits, or runs a reactor's step in place. A parking process first
+// consumes its own re-activations and any reactor steps ahead of them
+// inline, so only genuine cross-process handoffs reach the driver.
 //
 //strings:hotpath
 func (k *Kernel) RunUntil(limit Time) int {
@@ -370,6 +388,11 @@ func (k *Kernel) RunUntil(limit Time) int {
 		k.now = a.at
 		a.proc.wakeTag = a.tag
 		k.dispatched++
+		if a.proc.step != nil {
+			k.react(a.proc)
+			continue
+		}
+		k.resumes++
 		k.running = a.proc
 		if a.proc.resume == nil {
 			a.proc.start()

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -100,4 +101,25 @@ func TestQueueLenAndSignalWaiting(t *testing.T) {
 		}
 	})
 	k.Run()
+}
+
+// TestNegativeTimeoutsClamp checks that a negative timeout counts as 0,
+// as it does for Sleep: the timed waits wake at the current instant with
+// the timeout winning, instead of panicking with "scheduling in the past".
+func TestNegativeTimeoutsClamp(t *testing.T) {
+	k := NewKernel(1)
+	var got []string
+	k.Go("co", func(p *Proc) {
+		p.Sleep(3)
+		fired := p.WaitTimeout(k.NewEvent(), -5)
+		got = append(got, fmt.Sprintf("WaitTimeout %d %v", p.Now(), fired))
+		sig := k.NewSignal()
+		ok := p.WaitSignalTimeout(sig, -5)
+		got = append(got, fmt.Sprintf("WaitSignalTimeout %d %v waiting=%d", p.Now(), ok, sig.Waiting()))
+	})
+	k.Run()
+	want := []string{"WaitTimeout 3 false", "WaitSignalTimeout 3 false waiting=0"}
+	if !slices.Equal(got, want) {
+		t.Fatalf("got %q, want %q", got, want)
+	}
 }

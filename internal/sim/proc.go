@@ -5,10 +5,11 @@ import (
 	"iter"
 )
 
-// Proc is a simulated process: a coroutine cooperatively scheduled by a
-// Kernel. All Proc methods must be called from the process's own function;
-// they are the points at which the process can block and virtual time can
-// advance.
+// Proc is a simulated process cooperatively scheduled by a Kernel: either a
+// coroutine (Kernel.Go) or a reactor (Kernel.React). All Proc methods must be
+// called from the process's own function. A coroutine's parking methods are
+// the points at which it can block and virtual time can advance; a reactor
+// never blocks and arms its next wakeup with the Arm methods instead.
 type Proc struct {
 	k      *Kernel
 	id     int
@@ -23,6 +24,13 @@ type Proc struct {
 	resume func() (struct{}, bool)
 	stop   func()
 	yield  func(struct{}) bool
+
+	// step is a reactor's body (nil for a coroutine): each dispatched
+	// activation runs it to completion on the dispatcher's stack (see
+	// Kernel.react). timed is the signal of a pending ArmSignalTimeout,
+	// dropped if the timeout wins.
+	step  func(p *Proc)
+	timed *Signal
 
 	epoch   uint64 // incremented on every wakeup; see activation.epoch
 	pending int    // number of queued activations
@@ -68,7 +76,13 @@ func (p *Proc) start() {
 		defer func() {
 			if r := recover(); r != nil {
 				if _, ok := r.(reaped); !ok {
-					p.done = true // the panic ends the process; a reap may follow
+					// The panic ends the process, unless a reactor's step
+					// raised it while running inline in this process's park:
+					// then react has already ended the reactor. A reap may
+					// follow either way.
+					if p.k.running == p {
+						p.done = true
+					}
 					panic(r)
 				}
 			}
@@ -81,10 +95,12 @@ func (p *Proc) start() {
 	})
 }
 
-// park cedes control and blocks until this process's next wakeup. If the
-// process is itself the next activation — a Yield, Sleep(0) or self-wakeup
-// at the current instant — it consumes the activation inline and continues
-// without a coroutine switch; otherwise it yields back to the RunUntil
+// park cedes control and blocks until this process's next wakeup. Before
+// switching away it dispatches the activations it can run without a switch:
+// reactor steps run right here (Kernel.react), and when the process is
+// itself the next activation — a Yield, Sleep(0) or a wakeup with only
+// reactors in between — it consumes the activation inline and continues
+// without a coroutine switch. Otherwise it yields back to the RunUntil
 // driver, which resumes the next process. Stale activations encountered on
 // the way are discarded exactly as the driver would. When Kernel.Reap
 // stops the process instead of resuming it, park panics with reaped to
@@ -97,20 +113,26 @@ func (p *Proc) park() {
 		if !ok {
 			break
 		}
-		if a.proc.done || a.epoch != a.proc.epoch {
+		q := a.proc
+		if q.done || a.epoch != q.epoch {
 			k.nowQ.Pop()
-			a.proc.pending-- // stale wakeup from an earlier park
+			q.pending-- // stale wakeup from an earlier park
 			continue
 		}
-		if a.proc != p {
+		if q != p && q.step == nil {
 			break // genuine handoff: yield to the driver
 		}
-		// Same-instant fast path: no coroutine switch.
 		k.nowQ.Pop()
-		p.pending--
+		q.pending--
 		k.now = a.at
-		p.wakeTag = a.tag
+		q.wakeTag = a.tag
 		k.dispatched++
+		if q != p {
+			k.react(q)
+			continue
+		}
+		// Fast path: no coroutine switch.
+		k.inlined++
 		k.running = p
 		p.parked = false
 		p.epoch++
@@ -123,10 +145,20 @@ func (p *Proc) park() {
 	p.epoch++
 }
 
+// mayPark panics when p is a reactor: a step arms its next wakeup and
+// returns, and blocking in it would suspend whatever stack it runs on. The
+// check comes before any side effect, so the schedule stays intact.
+func (p *Proc) mayPark() {
+	if p.step != nil {
+		panic(fmt.Sprintf("sim: reactor %s parked", p.Name()))
+	}
+}
+
 // Sleep blocks the process for d units of virtual time. Nonpositive
 // durations yield the processor for the current instant (other activations
 // at the same time run first).
 func (p *Proc) Sleep(d Time) {
+	p.mayPark()
 	if d < 0 {
 		d = 0
 	}
@@ -140,6 +172,7 @@ func (p *Proc) Yield() { p.Sleep(0) }
 
 // Wait blocks until e fires. If e has already fired it returns immediately.
 func (p *Proc) Wait(e *Event) {
+	p.mayPark()
 	if e.fired {
 		return
 	}
@@ -149,10 +182,14 @@ func (p *Proc) Wait(e *Event) {
 
 // WaitTimeout blocks until e fires or d elapses, whichever comes first. It
 // reports whether the event fired (true) or the timeout won (false). If e has
-// already fired it returns true immediately.
+// already fired it returns true immediately. A negative d counts as 0.
 func (p *Proc) WaitTimeout(e *Event, d Time) bool {
+	p.mayPark()
 	if e.fired {
 		return true
+	}
+	if d < 0 {
+		d = 0
 	}
 	e.waiters.Push(p)
 	p.k.schedule(p, p.k.now+d, wakeTimer)
@@ -162,13 +199,18 @@ func (p *Proc) WaitTimeout(e *Event, d Time) bool {
 
 // WaitSignal blocks until s is next notified.
 func (p *Proc) WaitSignal(s *Signal) {
+	p.mayPark()
 	s.waiters.Push(p)
 	p.park()
 }
 
 // WaitSignalTimeout blocks until s is notified or d elapses; it reports
-// whether the signal arrived.
+// whether the signal arrived. A negative d counts as 0.
 func (p *Proc) WaitSignalTimeout(s *Signal, d Time) bool {
+	p.mayPark()
+	if d < 0 {
+		d = 0
+	}
 	s.waiters.Push(p)
 	p.k.schedule(p, p.k.now+d, wakeTimer)
 	p.park()

@@ -41,6 +41,7 @@ func (q *Queue[T]) Put(v T) {
 
 // Get removes and returns the oldest item, parking p until one is available.
 func (q *Queue[T]) Get(p *Proc) T {
+	p.mayPark()
 	for q.items.Len() == 0 {
 		p.WaitSignal(q.ready)
 	}
@@ -65,6 +66,7 @@ func (q *Queue[T]) TryGet() (v T, ok bool) {
 // GetTimeout is like Get but gives up after d; ok reports whether an item was
 // received.
 func (q *Queue[T]) GetTimeout(p *Proc, d Time) (v T, ok bool) {
+	p.mayPark()
 	deadline := p.Now() + d
 	for q.items.Len() == 0 {
 		remain := deadline - p.Now()

@@ -62,8 +62,8 @@ func TestReapGoBeforeRunCreatesNoGoroutine(t *testing.T) {
 }
 
 // TestReapOnResetUnwindsHorizonParked checks that Reset reaps what a
-// RunUntil horizon left suspended: sleepers, a timer process and a queue
-// reader all unwind, running their defers.
+// RunUntil horizon left suspended: sleepers and a queue reader all unwind,
+// running their defers, and the armed timer reactor is dropped.
 func TestReapOnResetUnwindsHorizonParked(t *testing.T) {
 	base := runtime.NumGoroutine()
 	k := NewKernel(1)
@@ -83,8 +83,11 @@ func TestReapOnResetUnwindsHorizonParked(t *testing.T) {
 	})
 	k.After(1000, func() { t.Error("timer past the horizon fired") })
 	k.RunUntil(55)
-	if got := runtime.NumGoroutine(); got != base+7 {
-		t.Fatalf("goroutines at the horizon = %d, want %d (6 processes and the timer process)", got, base+7)
+	if got := runtime.NumGoroutine(); got != base+6 {
+		t.Fatalf("goroutines at the horizon = %d, want %d (6 processes; the timer reactor holds none)", got, base+6)
+	}
+	if got := k.ProcCount(); got != 7 {
+		t.Fatalf("ProcCount at the horizon = %d, want 7 (6 processes and the timer reactor)", got)
 	}
 	k.Reset(2)
 	if unwound != 6 {

@@ -17,6 +17,7 @@ func (k *Kernel) NewSemaphore(n int) *Semaphore {
 
 // Acquire takes one unit, parking p in FIFO order until one is free.
 func (s *Semaphore) Acquire(p *Proc) {
+	p.mayPark()
 	if s.free > 0 && s.waiters.Len() == 0 {
 		s.free--
 		return

@@ -45,9 +45,9 @@ import (
 // the Run limit (matching the kernel's own maximum instant).
 const none = sim.Time(1<<62 - 1)
 
-// message is one cross-shard effect: fn runs on the destination kernel's
-// timer process at instant at. seq is the per-source send sequence that
-// breaks same-instant ties deterministically.
+// message is one cross-shard effect: fn runs as a timer callback of the
+// destination kernel (Kernel.After), inline at instant at. seq is the
+// per-source send sequence that breaks same-instant ties deterministically.
 type message struct {
 	at  sim.Time
 	src int

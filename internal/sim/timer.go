@@ -19,25 +19,25 @@ func (a timerEntry) lessThan(b timerEntry) bool {
 }
 
 // timers is the kernel's deferred-callback facility, backed by one lazily
-// started process.
+// started reactor.
 type timers struct {
 	heap    heap4[timerEntry]
 	seq     uint64
 	kick    *Signal
-	kicked  bool
 	started bool
 }
 
-// After schedules fn to run at now+d in the context of the kernel's timer
-// process. Callbacks must not block (they may Put into queues, fire events,
-// notify signals — anything non-parking). Callbacks at the same instant run
-// in registration order.
+// After schedules fn to run at now+d. The kernel's timer reactor runs it
+// inline at that instant, on whichever stack dispatches the reactor, so a
+// callback must not block (it may Put into queues, fire events, notify
+// signals, start processes — anything non-parking). Callbacks at the same
+// instant run in registration order.
 func (k *Kernel) After(d Time, fn func()) {
 	k.pushTimer(d, timerEntry{fn: fn})
 }
 
-// AfterPut schedules msg to be delivered into q at now+d, in the context of
-// the kernel's timer process. It is After(d, func() { q.Put(msg) }) without
+// AfterPut schedules msg to be delivered into q at now+d, inline at that
+// instant like an After callback. It is After(d, func() { q.Put(msg) }) without
 // the closure allocation, for hot paths that defer a message per call (the
 // RPC transport's latency model). Deliveries and callbacks at the same
 // instant run in registration order.
@@ -45,7 +45,7 @@ func (k *Kernel) AfterPut(d Time, q *Queue[any], msg any) {
 	k.pushTimer(d, timerEntry{q: q, msg: msg})
 }
 
-// pushTimer registers the entry at now+d and kicks the timer process.
+// pushTimer registers the entry at now+d and kicks the timer reactor.
 func (k *Kernel) pushTimer(d Time, e timerEntry) {
 	if d < 0 {
 		d = 0
@@ -60,33 +60,28 @@ func (k *Kernel) pushTimer(d Time, e timerEntry) {
 	t.heap.push(e)
 	if !t.started {
 		t.started = true
-		k.Go("sim-timers", k.runTimers)
+		k.React("sim-timers", k.runTimers)
 		return
 	}
-	t.kicked = true
 	t.kick.Notify()
 }
 
-// runTimers delivers deferred callbacks in time order.
+// runTimers is the timer reactor's step: it delivers every deferred action
+// due now in time order, including any a delivery registers for now, then
+// arms a wakeup for the next entry or the next kick.
 func (k *Kernel) runTimers(p *Proc) {
 	t := k.timers
-	for {
-		for t.heap.len() > 0 && t.heap.peek().at <= p.Now() {
-			e := t.heap.pop()
-			if e.fn != nil {
-				e.fn()
-			} else {
-				e.q.Put(e.msg)
-			}
+	for t.heap.len() > 0 && t.heap.peek().at <= p.Now() {
+		e := t.heap.pop()
+		if e.fn != nil {
+			e.fn()
+		} else {
+			e.q.Put(e.msg)
 		}
-		if t.kicked {
-			t.kicked = false
-			continue
-		}
-		if t.heap.len() == 0 {
-			p.WaitSignal(t.kick)
-			continue
-		}
-		p.WaitSignalTimeout(t.kick, t.heap.peek().at-p.Now())
 	}
+	if t.heap.len() == 0 {
+		p.ArmSignal(t.kick)
+		return
+	}
+	p.ArmSignalTimeout(t.kick, t.heap.peek().at-p.Now())
 }
